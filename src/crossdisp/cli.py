@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .io import (
     AnalysisReport,
     RhoSweepRow,
     RhoSweepTable,
+    _write_text,
     load_price_panel,
     render_report,
     to_document,
@@ -94,6 +97,34 @@ def _seed(text: str) -> int:
     return value
 
 
+def _k_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError("must lie strictly between 0 and 1")
+    return value
+
+
+def _window(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _rho(text: str) -> float:
+    value = float(text)
+    if not -1.0 <= value <= 1.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError("must lie in [-1, 1]")
+    return value
+
+
+def _sigma(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crossdisp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -101,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="dispersion, tails and extremes for one reference date")
     analyze.add_argument("panel", help="price panel CSV")
     analyze.add_argument("--tref", type=_iso_date, required=True, help="reference date (ISO)")
-    analyze.add_argument("--k-fraction", type=float, default=0.10,
+    analyze.add_argument("--k-fraction", type=_k_fraction, default=0.10,
                          help="fraction of the cross-section used as Hill order statistics")
-    analyze.add_argument("--window", type=int, default=20,
+    analyze.add_argument("--window", type=_window, default=20,
                          help="half-width for extreme detection on the tail series")
     analyze.add_argument("--policy", choices=MISSING_DATA_POLICIES, default=DROP_AT_REF)
     analyze.add_argument("--out", help="output path (default: JSON to stdout)")
@@ -125,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="Monte Carlo cross-sectional dispersion")
     simulate.add_argument("--n", type=int, default=1000, help="universe size")
     simulate.add_argument("--m-reps", type=int, default=100, help="replications")
-    simulate.add_argument("--rho", type=float, default=0.0, help="common correlation")
-    simulate.add_argument("--sigma", type=float, default=1.0, help="common volatility")
+    simulate.add_argument("--rho", type=_rho, default=0.0, help="common correlation")
+    simulate.add_argument("--sigma", type=_sigma, default=1.0, help="common volatility")
     simulate.add_argument("--seed", type=_seed, default=0)
     simulate.add_argument("--table", choices=("rho-sweep",),
                           help="sweep rho over -1.0, -0.8, ..., 1.0 instead of one run")
@@ -145,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated reference dates (ISO)")
     group.add_argument("--years", type=_year_list,
                        help="use the first trading day of each year, e.g. 1998-2008")
-    sweep.add_argument("--k-fraction", type=float, default=0.10)
+    sweep.add_argument("--k-fraction", type=_k_fraction, default=0.10)
     sweep.add_argument("--policy", choices=MISSING_DATA_POLICIES, default=DROP_AT_REF)
     sweep.add_argument("--out", help="output path (default: JSON to stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default="json")
@@ -186,19 +217,15 @@ def cmd_survival(args: argparse.Namespace) -> int:
     xs = perf.cross_section(args.date)
     curve = survival_curve(xs)
     text = render_report(curve, fmt=args.format)
-    sweep_text = None
     if args.hill_sweep:
+        # written first, so an unwritable path fails before any output
         estimates = hill_k_sweep(xs)
         rows = ["k,alpha"] + [f"{e.k},{e.alpha!r}" for e in estimates]
-        sweep_text = "\n".join(rows) + "\n"
+        _write_text(Path(args.hill_sweep), "\n".join(rows) + "\n")
     if args.out:
         write_report(curve, args.out, fmt=args.format)
     else:
         sys.stdout.write(text)
-    if sweep_text is not None:
-        from pathlib import Path
-
-        Path(args.hill_sweep).write_text(sweep_text, encoding="utf-8")
     return EXIT_OK
 
 

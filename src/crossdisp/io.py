@@ -6,6 +6,13 @@ is a missing price. Duplicate dates, non-positive prices and anything
 unparsable are rejected with the offending line and column (1-based).
 Rows may arrive in any order; the panel is sorted by date after loading.
 
+Ingest is streamed: the file is read row by row, each row's prices are
+converted and checked together, and only a row that fails the check is
+parsed again cell by cell to name its first bad cell. Peak memory thus
+grows with the price matrix, not with the file text. Bytes that are not
+UTF-8, and text the csv module cannot split into cells (such as a field
+over its size limit), raise a DataError.
+
 Reports serialize floats with Python's shortest round-trip repr, so
 every written number reparses to the exact same double. JSON documents
 are a top-level object with a ``meta`` block (tool, version, policies,
@@ -20,6 +27,7 @@ import csv
 import datetime as dt
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
@@ -28,6 +36,7 @@ from typing import Any
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateDate,
     IoError,
     NonPositivePrice,
@@ -37,6 +46,7 @@ from .errors import (
 from .panel import (
     DROP_AT_REF,
     DispersionSeries,
+    FloatArray,
     PerformancePanel,
     PricePanel,
     SurvivalCurve,
@@ -69,6 +79,30 @@ def _parse_price(cell: str, line: int, column: int) -> float:
     return value
 
 
+def _parse_prices(cells: list[str], line: int) -> FloatArray:
+    """One row's prices, empty cells as NaN.
+
+    numpy converts the whole row with ``float`` and one vectorized test
+    checks it; only a row that fails goes through ``_parse_price`` cell
+    by cell, which raises the error of its first offending cell or, for
+    cells that are only whitespace, returns the row.
+    """
+    n_empty = cells.count("")
+    try:
+        values = np.array(
+            [cell or "nan" for cell in cells] if n_empty else cells, dtype=np.float64
+        )
+    except ValueError:
+        pass
+    else:
+        # NaN fails both comparisons, so only the empty cells may miss
+        if np.count_nonzero((values > 0.0) & (values < math.inf)) == len(cells) - n_empty:
+            return values
+    return np.array(
+        [_parse_price(cell, line, col) for col, cell in enumerate(cells, start=2)]
+    )
+
+
 def load_price_panel(path: str | Path, fmt: str = "csv") -> PricePanel:
     """Read a price panel file into a PricePanel.
 
@@ -78,10 +112,24 @@ def load_price_panel(path: str | Path, fmt: str = "csv") -> PricePanel:
         raise ValueError(f"unsupported panel format: {fmt!r}")
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8") as handle:
+            dates, tickers, matrix = _read_panel(csv.reader(handle))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(StringIO(text))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"cannot read {path}: malformed CSV ({exc})") from None
+    return PricePanel(dates=dates, tickers=tickers, prices=matrix)
+
+
+def _read_panel(
+    reader: Iterator[list[str]],
+) -> tuple[tuple[dt.date, ...], tuple[str, ...], FloatArray]:
+    """Dates, tickers and price matrix, sorted by date.
+
+    Rows are checked in file order, so the first bad row raises.
+    """
     try:
         header = next(reader)
     except StopIteration:
@@ -96,7 +144,8 @@ def load_price_panel(path: str | Path, fmt: str = "csv") -> PricePanel:
     if len(set(tickers)) != len(tickers):
         raise ParseError(1, 2, "duplicate ticker names")
 
-    rows: list[tuple[dt.date, list[float]]] = []
+    dates: list[dt.date] = []
+    rows: list[FloatArray] = []
     seen: set[dt.date] = set()
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -112,18 +161,12 @@ def load_price_panel(path: str | Path, fmt: str = "csv") -> PricePanel:
         if when in seen:
             raise DuplicateDate(when)
         seen.add(when)
-        prices = [
-            _parse_price(cell, line_no, col)
-            for col, cell in enumerate(row[1:], start=2)
-        ]
-        rows.append((when, prices))
+        dates.append(when)
+        rows.append(_parse_prices(row[1:], line_no))
 
-    rows.sort(key=lambda item: item[0])
-    dates = tuple(when for when, _ in rows)
-    matrix = np.array([p for _, p in rows], dtype=np.float64).reshape(
-        len(rows), len(tickers)
-    )
-    return PricePanel(dates=dates, tickers=tickers, prices=matrix)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    matrix = np.array([rows[i] for i in order]).reshape(len(rows), len(tickers))
+    return tuple(dates[i] for i in order), tickers, matrix
 
 
 def write_price_panel(panel: PricePanel, path: str | Path) -> None:

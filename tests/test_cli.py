@@ -78,6 +78,49 @@ def test_exit_data_bad_csv(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        (b"2022-01-01,1\xff,2\n", "not UTF-8"),
+        (b'2022-01-01,"' + b"9" * 200_000 + b"\n", "malformed CSV"),
+    ],
+)
+def test_exit_data_unreadable_text(tail, message, tmp_path, capsys):
+    # the bad bytes sit past the first read buffer, so they surface mid-stream
+    good = "".join(f"{d('2020-01-01') + dt.timedelta(days=i)},10,20\n" for i in range(600))
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"date,A,B\n{good}".encode() + tail)
+    assert main(["analyze", str(path), "--tref", "2020-01-01"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("crossdisp: cannot read") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "p.csv", "--tref", "2020-01-02", "--k-fraction", "1.5"],
+        ["analyze", "p.csv", "--tref", "2020-01-02", "--k-fraction", "0"],
+        ["sweep", "p.csv", "--trefs", "2020-01-02", "--k-fraction", "1"],
+        ["sweep", "p.csv", "--trefs", "2020-01-02", "--k-fraction", "nan"],
+        ["analyze", "p.csv", "--tref", "2020-01-02", "--window", "0"],
+        ["simulate", "--rho", "2"],
+        ["simulate", "--rho", "-1.5"],
+        ["simulate", "--rho", "nan"],
+        ["simulate", "--sigma", "0"],
+        ["simulate", "--sigma", "-1"],
+        ["simulate", "--sigma", "inf"],
+        ["simulate", "--sigma", "nan"],
+    ],
+)
+def test_exit_usage_out_of_range_argument(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("crossdisp ")
+    assert "Traceback" not in captured.err
+
+
 def test_exit_data_tiny_universe(capsys):
     assert main(["simulate", "--n", "1"]) == EXIT_DATA
 
@@ -183,6 +226,16 @@ def test_survival_hill_sweep_file(wide_csv, tmp_path, capsys):
         k, alpha = row.split(",")
         assert 1 <= int(k) <= 11
         assert float(alpha) > 0
+
+
+def test_survival_hill_sweep_unwritable_path(wide_csv, tmp_path, capsys):
+    code = main(["survival", wide_csv, "--tref", "2020-01-02", "--date", "2020-01-05",
+                 "--hill-sweep", str(tmp_path / "missing" / "hill.csv")])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("crossdisp: cannot write")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------
