@@ -211,21 +211,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_hill_sweep(path: Path, xs: np.ndarray) -> None:
+    # the estimates and their rows are freed before the survival report
+    # is rendered, so the two never occupy memory at once
+    rows = ["k,alpha"] + [f"{e.k},{e.alpha!r}" for e in hill_k_sweep(xs)]
+    _write_text(path, "\n".join(rows) + "\n")
+
+
 def cmd_survival(args: argparse.Namespace) -> int:
     panel = load_price_panel(args.panel)
     perf = normalize_panel(panel, args.tref, policy=args.policy)
     xs = perf.cross_section(args.date)
     curve = survival_curve(xs)
-    text = render_report(curve, fmt=args.format)
     if args.hill_sweep:
         # written first, so an unwritable path fails before any output
-        estimates = hill_k_sweep(xs)
-        rows = ["k,alpha"] + [f"{e.k},{e.alpha!r}" for e in estimates]
-        _write_text(Path(args.hill_sweep), "\n".join(rows) + "\n")
+        _write_hill_sweep(Path(args.hill_sweep), xs)
     if args.out:
         write_report(curve, args.out, fmt=args.format)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_report(curve, fmt=args.format))
     return EXIT_OK
 
 

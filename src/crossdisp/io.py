@@ -1,10 +1,11 @@
 """CSV ingestion of price panels and CSV/JSON report writing.
 
-Input contract (CSV, UTF-8): header row ``date,<ticker1>,<ticker2>,...``,
-one row per date with an ISO-8601 date and decimal prices. An empty cell
-is a missing price. Duplicate dates, non-positive prices and anything
-unparsable are rejected with the offending line and column (1-based).
-Rows may arrive in any order; the panel is sorted by date after loading.
+Input contract (CSV, UTF-8, optionally starting with a byte-order mark):
+header row ``date,<ticker1>,<ticker2>,...``, one row per date with an
+ISO-8601 date and decimal prices. An empty cell is a missing price.
+Duplicate dates, non-positive prices and anything unparsable are
+rejected with the offending line and column (1-based). Rows may arrive
+in any order; the panel is sorted by date after loading.
 
 Ingest is streamed: the file is read row by row, each row's prices are
 converted and checked together, and only a row that fails the check is
@@ -112,7 +113,7 @@ def load_price_panel(path: str | Path, fmt: str = "csv") -> PricePanel:
         raise ValueError(f"unsupported panel format: {fmt!r}")
     path = Path(path)
     try:
-        with path.open(encoding="utf-8") as handle:
+        with path.open(encoding="utf-8-sig") as handle:
             dates, tickers, matrix = _read_panel(csv.reader(handle))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

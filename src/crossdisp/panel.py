@@ -41,6 +41,11 @@ def _as_readonly(values: object) -> FloatArray:
     return arr
 
 
+def _any_nonpositive(values: FloatArray) -> bool:
+    """True if any finite entry is <= 0; NaN and +-inf are ignored."""
+    return bool(np.any((values <= 0.0) & np.isfinite(values)))
+
+
 def _check_axes(dates: tuple[dt.date, ...], tickers: tuple[str, ...]) -> None:
     for a, b in zip(dates, dates[1:]):
         if a >= b:
@@ -72,8 +77,7 @@ class PricePanel:
                 f"{len(self.dates)} dates x {len(self.tickers)} tickers"
             )
         _check_axes(self.dates, self.tickers)
-        present = prices[np.isfinite(prices)]
-        if present.size and present.min() <= 0.0:
+        if _any_nonpositive(prices):
             raise ValueError("present prices must be strictly positive")
 
     @property
@@ -117,8 +121,7 @@ class PerformancePanel:
         _check_axes(self.dates, self.tickers)
         if any(d < self.ref_date for d in self.dates):
             raise ValueError("all dates must be on or after the reference date")
-        present = values[np.isfinite(values)]
-        if present.size and present.min() <= 0.0:
+        if _any_nonpositive(values):
             raise ValueError("performance values must be strictly positive")
         if self.ref_date in self.dates:
             row = values[self.dates.index(self.ref_date)]
@@ -325,11 +328,14 @@ def dispersion_series(perf: PerformancePanel) -> DispersionSeries:
     values = perf.values
     present = np.isfinite(values)
     count = present.sum(axis=1, dtype=np.int64)
-    filled = np.where(present, values, 0.0)
+    # one scratch matrix: first the present values, then squared deviations
+    scratch = np.where(present, values, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(count > 0, filled.sum(axis=1) / count, np.nan)
-        dev_sq = np.where(present, (values - mean[:, None]) ** 2, 0.0)
-        variance = np.where(count >= 2, dev_sq.sum(axis=1) / count, np.nan)
+        mean = np.where(count > 0, scratch.sum(axis=1) / count, np.nan)
+        np.subtract(values, mean[:, None], out=scratch)
+        np.square(scratch, out=scratch)
+        np.copyto(scratch, 0.0, where=~present)
+        variance = np.where(count >= 2, scratch.sum(axis=1) / count, np.nan)
     return DispersionSeries(
         dates=perf.dates, mean=mean, variance=variance, count=count
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotPSD, ZeroReps
 from .panel import FloatArray, dispersion_values
-from .theory import CorrelationSpec, Equicorrelation, expected_dispersion
+from .theory import CorrelationSpec, Equicorrelation
 
 REPLICATION_BLOCK = 4096
 FEASIBILITY_TOL = 1e-10
@@ -224,7 +224,3 @@ def variance_decay_study(
         )
     return out
 
-
-def expected_for(spec: CorrelationSpec) -> float:
-    """Convenience re-export: the analytic expectation for a spec."""
-    return expected_dispersion(spec)

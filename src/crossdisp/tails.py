@@ -6,6 +6,16 @@ the log survival function against the log threshold. Both are meant for
 per-date cross-sections of performance ratios; `tail_series` sweeps one
 of them across a whole performance panel.
 
+All Hill sums come from one kernel, `_hill_sums`. On a sample sorted in
+descending order it forms the sum of log(x_(i) / x_(k+1)) over i = 1..k
+from the spacings, as sum_j j * log1p((x_(j) - x_(j+1)) / x_(j+1)) over
+j = 1..k, with one cumulative sum that serves every k at once. The terms
+are never negative and each is accurate even for nearly tied values, and
+a sum is zero exactly when the top k+1 values are tied. `hill_estimator`,
+`hill_k_sweep` and `tail_series` therefore give bit-identical alphas for
+the same sample and k. A k-sweep costs one sort, and a panel's tail
+series one row-wise sort.
+
 `detect_extremes` finds strict local minima and maxima of any per-date
 series inside a symmetric window, which is how dips of the tail exponent
 are located in a panel diagnostic.
@@ -19,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadK,
@@ -60,6 +71,39 @@ class TailEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _hill_sums(descending: FloatArray, ks: npt.NDArray[np.intp]) -> FloatArray:
+    """Sum of log(x_(i) / x_(k+1)) over i = 1..k, for each k in ``ks``.
+
+    ``descending`` is one sample sorted in descending order, with
+    ``ks`` any k values, or a matrix of such samples row by row (NaN
+    last) with one k per row. Every k must satisfy 1 <= k < n of its
+    sample. A zero sum means the top k+1 values are exactly tied.
+    """
+    kmax = int(ks.max())
+    top = descending[..., : kmax + 1]
+    lower = top[..., 1:]
+    terms = np.log1p((top[..., :-1] - lower) / lower)
+    terms *= np.arange(1, kmax + 1, dtype=np.float64)
+    sums = np.cumsum(terms, axis=-1)
+    if sums.ndim == 1:
+        return sums[ks - 1]
+    return np.take_along_axis(sums, (ks - 1)[:, None], axis=1)[:, 0]
+
+
+def _descending(arr: FloatArray) -> FloatArray:
+    """A strictly positive, finite sample sorted largest first."""
+    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ValueError("sample must be strictly positive and finite")
+    return np.sort(arr)[::-1]
+
+
+def _hill(log_excess_sum: float, k: int, n: int) -> TailEstimate | None:
+    """The estimate for one Hill sum, or None for a degenerate tail."""
+    if log_excess_sum == 0.0:
+        return None
+    return TailEstimate(alpha=k / log_excess_sum, k=k, n=n, method=HILL)
+
+
 def hill_estimator(x: npt.ArrayLike, k: int) -> TailEstimate:
     """Hill estimate of the upper-tail exponent from the k largest values.
 
@@ -88,34 +132,36 @@ def hill_estimator(x: npt.ArrayLike, k: int) -> TailEstimate:
     n = int(arr.size)
     if not 1 <= k < n:
         raise BadK(k, n)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("sample must be strictly positive and finite")
-    ordered = np.sort(arr)
-    threshold = ordered[n - k - 1]
-    mean_log_excess = float(np.mean(np.log(ordered[n - k:] / threshold)))
-    if mean_log_excess == 0.0:
+    ordered = _descending(arr)
+    estimate = _hill(float(_hill_sums(ordered, np.array([k]))[0]), k, n)
+    if estimate is None:
         raise DegenerateTail(
             f"the {k + 1} largest values are all equal; no tail spread"
         )
-    return TailEstimate(alpha=1.0 / mean_log_excess, k=k, n=n, method=HILL)
+    return estimate
 
 
 def hill_k_sweep(x: npt.ArrayLike, k_values: list[int] | None = None) -> list[TailEstimate]:
     """Hill estimates across a range of k, for diagnostic plots.
 
-    Defaults to every k in 1..n-1. Degenerate ks are skipped.
+    Defaults to every k in 1..n-1. Degenerate ks are skipped. One sort
+    and one cumulative sum serve every k.
     """
     arr = np.asarray(x, dtype=np.float64)
     n = int(arr.size)
-    if k_values is None:
-        k_values = list(range(1, n))
-    out: list[TailEstimate] = []
-    for k in k_values:
-        try:
-            out.append(hill_estimator(arr, k))
-        except DegenerateTail:
-            continue
-    return out
+    ks = list(range(1, n)) if k_values is None else list(k_values)
+    if not ks:
+        return []
+    # the same checks, in the same order, as one hill_estimator call per k
+    if not 1 <= ks[0] < n:
+        raise BadK(ks[0], n)
+    ordered = _descending(arr)
+    for k in ks:
+        if not 1 <= k < n:
+            raise BadK(k, n)
+    sums = _hill_sums(ordered, np.array(ks, dtype=np.intp))
+    estimates = (_hill(s, k, n) for s, k in zip(sums.tolist(), ks))
+    return [e for e in estimates if e is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +286,22 @@ class TailSeries:
         return len(self.dates)
 
 
+def _top_order_statistics(
+    values: FloatArray, rows: npt.NDArray[np.intp], width: int
+) -> FloatArray:
+    """The ``width`` largest present values of each selected row, largest
+    first, NaN-padded.
+
+    One negated copy of the selected rows is sorted in place (NaN goes
+    last) and only its first ``width`` columns are kept.
+    """
+    work = values[rows]
+    work[~np.isfinite(work)] = np.nan
+    np.negative(work, out=work)
+    work.sort(axis=1)
+    return -work[:, :width]
+
+
 def tail_series(perf: PerformancePanel, k_policy: KPolicy | None = None) -> TailSeries:
     """Hill exponent for every date of a performance panel.
 
@@ -248,17 +310,16 @@ def tail_series(perf: PerformancePanel, k_policy: KPolicy | None = None) -> Tail
     performances equal 1), yield gaps; the sweep never aborts.
     """
     policy = k_policy if k_policy is not None else KPolicy()
-    estimates: list[TailEstimate | None] = []
-    for row in perf.values:
-        xs = row[np.isfinite(row)]
-        k = policy.k_for(int(xs.size))
-        if k is None:
-            estimates.append(None)
-            continue
-        try:
-            estimates.append(hill_estimator(xs, k))
-        except DegenerateTail:
-            estimates.append(None)
+    counts = np.isfinite(perf.values).sum(axis=1).tolist()
+    row_ks = [policy.k_for(n) for n in counts]
+    rows = np.array([i for i, k in enumerate(row_ks) if k is not None], dtype=np.intp)
+    estimates: list[TailEstimate | None] = [None] * len(counts)
+    if rows.size:
+        ks = np.array([row_ks[i] for i in rows], dtype=np.intp)
+        top = _top_order_statistics(perf.values, rows, int(ks.max()) + 1)
+        sums = _hill_sums(top, ks)
+        for i, k, log_excess_sum in zip(rows.tolist(), ks.tolist(), sums.tolist()):
+            estimates[i] = _hill(log_excess_sum, k, counts[i])
     return TailSeries(dates=perf.dates, estimates=tuple(estimates), k_policy=policy)
 
 
@@ -303,16 +364,16 @@ def detect_extremes(
         raise WindowTooLarge(window, n)
     if dates is not None and len(dates) != n:
         raise ValueError("dates must align with the series")
+    windows = sliding_window_view(series, 2 * window + 1)
+    left, right = windows[:, :window], windows[:, window + 1 :]
+    centers = series[window : n - window]
+    complete = np.isfinite(windows).all(axis=1)
+    is_min = complete & (centers < np.minimum(left.min(axis=1), right.min(axis=1)))
+    is_max = complete & (centers > np.maximum(left.max(axis=1), right.max(axis=1)))
     events: list[ExtremeEvent] = []
-    for t in range(window, n - window):
-        segment = series[t - window : t + window + 1]
-        if not np.isfinite(segment).all():
-            continue
-        center = segment[window]
-        others = np.delete(segment, window)
+    for i in np.flatnonzero(is_min | is_max).tolist():
+        t = i + window
+        kind = LOCAL_MINIMUM if is_min[i] else LOCAL_MAXIMUM
         when = dates[t] if dates is not None else t
-        if center < others.min():
-            events.append(ExtremeEvent(when, LOCAL_MINIMUM, float(center), window))
-        elif center > others.max():
-            events.append(ExtremeEvent(when, LOCAL_MAXIMUM, float(center), window))
+        events.append(ExtremeEvent(when, kind, float(series[t]), window))
     return events

@@ -78,6 +78,15 @@ def test_exit_data_bad_csv(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_analyze_reads_a_leading_byte_order_mark(small_csv, tmp_path, capsys):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + open(small_csv, "rb").read())
+    assert main(["analyze", small_csv, "--tref", "2020-01-02", "--window", "1"]) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert main(["analyze", str(marked), "--tref", "2020-01-02", "--window", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize(
     "tail, message",
     [

@@ -160,6 +160,46 @@ def test_streamed_loader_matches_reference(text, tmp_path_factory):
 
 
 # ---------------------------------------------------------------------------
+# byte-order mark
+# ---------------------------------------------------------------------------
+
+BOM = "\ufeff"
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    text = "date,A,B\n2020-01-03,1,2\n2020-01-02,3,\n"
+    plain = tmp_path / "plain.csv"
+    marked = tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(BOM + text, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfdate,")
+    assert outcome(load_price_panel, marked) == outcome(reference_load_price_panel, plain)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"date,A,B\n2020-01-03,{BOM}1,2\n",
+        f"date,A,B\n2020-01-03,1,2{BOM}\n",
+        f"date,A,B\n{BOM}2020-01-03,1,2\n",
+        f"date,{BOM}A,B\n2020-01-03,1,2\n",
+        f"{BOM}{BOM}date,A\n2020-01-03,1\n",
+    ],
+)
+def test_byte_order_mark_elsewhere_is_unchanged(text, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
+
+
+def test_byte_order_mark_in_a_price_cell_is_a_parse_error(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text(f"{BOM}date,A,B\n2020-01-03,1,{BOM}2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2, column 3"):
+        load_price_panel(path)
+
+
+# ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,42 @@ from crossdisp import (
 )
 
 from conftest import d
+
+
+# ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.0])
+def test_price_panel_rejects_nonpositive_prices(bad):
+    prices = np.array([[1.0, np.nan], [np.inf, bad]])
+    with pytest.raises(ValueError, match="strictly positive"):
+        PricePanel(dates=(d("2003-01-02"), d("2003-01-03")), tickers=("A", "B"), prices=prices)
+
+
+def test_price_panel_ignores_nonfinite_prices():
+    prices = np.array([[1.0, np.nan], [np.inf, -np.inf]])
+    panel = PricePanel(dates=(d("2003-01-02"), d("2003-01-03")), tickers=("A", "B"), prices=prices)
+    np.testing.assert_array_equal(panel.prices, prices)
+
+
+def test_price_panel_construction_peak_memory():
+    rng = np.random.default_rng(5)
+    n_dates, n_stocks = 300, 400
+    prices = np.exp(rng.normal(3.0, 1.0, (n_dates, n_stocks)))
+    prices[rng.random(prices.shape) < 0.05] = np.nan
+    dates = tuple(d("2000-01-03") + dt.timedelta(days=i) for i in range(n_dates))
+    tickers = tuple(f"S{i:03d}" for i in range(n_stocks))
+    tracemalloc.start()
+    try:
+        panel = PricePanel(dates=dates, tickers=tickers, prices=prices)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.prices is not prices and not panel.prices.flags.writeable
+    # the read-only copy plus three boolean masks come to about 1.4x
+    assert peak <= 1.5 * prices.nbytes + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +300,70 @@ def test_dispersion_series_values(tiny_panel):
     assert series.variance[1] == pytest.approx(0.0625)
     # day 3: X = (1.2, 3.0) -> mean 2.1, var 0.81
     assert series.variance[2] == pytest.approx(0.81)
+
+
+def reference_dispersion(values):
+    """Mean, variance and count with a fresh array for each step."""
+    present = np.isfinite(values)
+    count = present.sum(axis=1, dtype=np.int64)
+    filled = np.where(present, values, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(count > 0, filled.sum(axis=1) / count, np.nan)
+        dev_sq = np.where(present, (values - mean[:, None]) ** 2, 0.0)
+        variance = np.where(count >= 2, dev_sq.sum(axis=1) / count, np.nan)
+    return mean, variance, count
+
+
+def perf_from_rows(values):
+    dates = tuple(d("2003-01-02") + dt.timedelta(days=i) for i in range(len(values)))
+    return PerformancePanel(
+        ref_date=dates[0],
+        dates=dates,
+        tickers=tuple(f"T{i}" for i in range(values.shape[1])),
+        values=values,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda width: st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(0.01, 100.0),
+                    st.sampled_from([np.nan, np.inf, -np.inf]),
+                ),
+                min_size=width,
+                max_size=width,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_dispersion_series_matches_reference_bit_for_bit(rows):
+    values = np.array([[1.0] * len(rows[0])] + rows)
+    series = dispersion_series(perf_from_rows(values))
+    mean, variance, count = reference_dispersion(values)
+    np.testing.assert_array_equal(series.mean, mean)
+    np.testing.assert_array_equal(series.variance, variance)
+    np.testing.assert_array_equal(series.count, count)
+
+
+def test_dispersion_series_peak_memory():
+    rng = np.random.default_rng(6)
+    values = rng.uniform(0.5, 2.0, size=(300, 400))
+    values[0] = 1.0
+    values[1:][rng.random((299, 400)) < 0.05] = np.nan
+    perf = perf_from_rows(values)
+    tracemalloc.start()
+    try:
+        dispersion_series(perf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one scratch matrix and two boolean masks
+    assert peak <= 1.5 * values.nbytes + 64 * 1024
 
 
 def test_dispersion_series_identical_paths_stay_zero():

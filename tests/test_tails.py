@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from crossdisp import (
     BadK,
     DegenerateTail,
+    ExtremeEvent,
     KPolicy,
     NonFiniteVariance,
     PerformancePanel,
@@ -343,3 +344,203 @@ def test_detect_extremes_invariant_under_monotone_transform():
     assert [(e.date, flip[e.kind]) for e in decreasing] == [
         (e.date, e.kind) for e in base
     ]
+
+
+# ---------------------------------------------------------------------------
+# references: one Hill estimate per k and per date, one window per date
+# ---------------------------------------------------------------------------
+
+
+def reference_hill_estimator(x, k):
+    """Direct Hill formula: the mean of log(x / threshold) over the top k."""
+    arr = np.asarray(x, dtype=np.float64)
+    n = int(arr.size)
+    if not 1 <= k < n:
+        raise BadK(k, n)
+    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ValueError("sample must be strictly positive and finite")
+    ordered = np.sort(arr)
+    mean_log_excess = float(np.mean(np.log(ordered[n - k:] / ordered[n - k - 1])))
+    if mean_log_excess == 0.0:
+        raise DegenerateTail("tied tail")
+    return TailEstimate(alpha=1.0 / mean_log_excess, k=k, n=n, method="hill")
+
+
+def reference_hill_k_sweep(x, k_values=None):
+    arr = np.asarray(x, dtype=np.float64)
+    out = []
+    for k in range(1, arr.size) if k_values is None else k_values:
+        try:
+            out.append(reference_hill_estimator(arr, k))
+        except DegenerateTail:
+            continue
+    return out
+
+
+def reference_tail_series(perf, policy):
+    estimates = []
+    for row in perf.values:
+        xs = row[np.isfinite(row)]
+        k = policy.k_for(int(xs.size))
+        try:
+            estimates.append(None if k is None else reference_hill_estimator(xs, k))
+        except DegenerateTail:
+            estimates.append(None)
+    return estimates
+
+
+def reference_detect_extremes(values, window, dates=None):
+    series = np.asarray(values, dtype=np.float64)
+    n = int(series.size)
+    events = []
+    for t in range(window, n - window):
+        segment = series[t - window : t + window + 1]
+        if not np.isfinite(segment).all():
+            continue
+        center = segment[window]
+        others = np.delete(segment, window)
+        when = dates[t] if dates is not None else t
+        if center < others.min():
+            events.append(ExtremeEvent(when, "local-minimum", float(center), window))
+        elif center > others.max():
+            events.append(ExtremeEvent(when, "local-maximum", float(center), window))
+    return events
+
+
+def assert_same_estimates(got, want):
+    """Same gaps, k, n and method; alpha within rel 1e-12."""
+    assert [None if e is None else (e.k, e.n, e.method) for e in got] == [
+        None if e is None else (e.k, e.n, e.method) for e in want
+    ]
+    for g, w in zip(got, want):
+        if g is not None:
+            assert g.alpha == pytest.approx(w.alpha, rel=1e-12)
+
+
+# Integer grids keep distinct values at least 0.1% apart, where the direct
+# log-ratio formula is still good to about 1e-13, and make exact ties common.
+TIED_VALUES = st.integers(1, 1000).map(float)
+SCALES = st.sampled_from([1.0, 0.125, 1024.0, 1e6])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sample=st.lists(TIED_VALUES, min_size=2, max_size=60),
+    scale=SCALES,
+    data=st.data(),
+)
+def test_hill_k_sweep_matches_per_k_reference(sample, scale, data):
+    xs = np.array(sample) * scale
+    n = xs.size
+    assert_same_estimates(hill_k_sweep(xs), reference_hill_k_sweep(xs))
+    ks = data.draw(st.lists(st.integers(1, n - 1), max_size=10))
+    swept = hill_k_sweep(xs, ks)
+    assert_same_estimates(swept, reference_hill_k_sweep(xs, ks))
+    for est in swept:
+        assert est.alpha == hill_estimator(xs, est.k).alpha
+
+
+@pytest.mark.parametrize(
+    "sample, k_values",
+    [
+        ([1.0, 2.0, 3.0], [0]),
+        ([1.0, 2.0, 3.0], [1, 3]),
+        ([-1.0, 2.0, 3.0], [1]),
+        ([-1.0, 2.0, 3.0], [0]),
+        ([1.0, np.nan, 3.0], None),
+        ([1.0], None),
+        ([2.0, 2.0, 2.0], None),
+        ([1.0, 2.0, 3.0], []),
+    ],
+)
+def test_hill_k_sweep_errors_match_reference(sample, k_values):
+    def run(sweep):
+        try:
+            return [(e.alpha, e.k) for e in sweep(sample, k_values)]
+        except (BadK, ValueError) as exc:
+            return type(exc)
+
+    assert run(hill_k_sweep) == run(reference_hill_k_sweep)
+
+
+@st.composite
+def performance_panels(draw):
+    """A reference row of ones, then rows with ties, gaps and small sizes."""
+    width = draw(st.integers(1, 30))
+    n_rows = draw(st.integers(1, 8))
+    cells = st.one_of(TIED_VALUES, st.sampled_from([np.nan, np.nan, np.inf, -np.inf]))
+    values = np.array(
+        [[1.0] * width]
+        + [draw(st.lists(cells, min_size=width, max_size=width)) for _ in range(n_rows)]
+    )
+    values[1:] *= draw(SCALES) / 100.0
+    dates = tuple(d("2003-01-02") + dt.timedelta(days=i) for i in range(n_rows + 1))
+    return PerformancePanel(
+        ref_date=dates[0],
+        dates=dates,
+        tickers=tuple(f"T{i}" for i in range(width)),
+        values=values,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    perf=performance_panels(),
+    fraction=st.sampled_from([0.1, 0.3, 0.5, 0.95]),
+    min_n=st.integers(2, 12),
+)
+def test_tail_series_matches_per_date_reference(perf, fraction, min_n):
+    policy = KPolicy(fraction=fraction, min_n=min_n)
+    series = tail_series(perf, policy)
+    assert series.dates == perf.dates and series.k_policy == policy
+    assert_same_estimates(series.estimates, reference_tail_series(perf, policy))
+    for row, est in zip(perf.values, series.estimates):
+        if est is not None:
+            assert est.alpha == hill_estimator(row[np.isfinite(row)], est.k).alpha
+
+
+def test_hill_is_accurate_on_nearly_tied_values():
+    # 5000 values of about 1e6 that differ only from the 7th digit on: the
+    # log of a ratio of two of them keeps only a few correct digits
+    rng = np.random.default_rng(7)
+    xs = 1e6 + rng.uniform(0.0, 1.0, 5000)
+    desc = sorted(xs.tolist(), reverse=True)
+
+    def exact_alpha(k):
+        threshold = desc[k]
+        return k / math.fsum(math.log1p((v - threshold) / threshold) for v in desc[:k])
+
+    swept = hill_k_sweep(xs)
+    for k in (1, 2, 3, 10, 100, 1000, 4999):
+        want = exact_alpha(k)
+        assert hill_estimator(xs, k).alpha == pytest.approx(want, rel=1e-13)
+        assert swept[k - 1].alpha == pytest.approx(want, rel=1e-13)
+
+
+EXTREME_VALUES = st.one_of(
+    st.integers(0, 4).map(float),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    series=st.lists(EXTREME_VALUES, min_size=3, max_size=40),
+    window=st.integers(1, 5),
+    with_dates=st.booleans(),
+)
+def test_detect_extremes_matches_loop_reference(series, window, with_dates):
+    if len(series) <= 2 * window:
+        with pytest.raises(WindowTooLarge):
+            detect_extremes(series, window)
+        return
+    dates = (
+        tuple(d("2003-01-02") + dt.timedelta(days=i) for i in range(len(series)))
+        if with_dates
+        else None
+    )
+    got = detect_extremes(series, window, dates=dates)
+    want = reference_detect_extremes(series, window, dates=dates)
+    assert got == want
+    assert [type(e.date) for e in got] == [type(e.date) for e in want]
