@@ -11,34 +11,30 @@ Usage:
 """
 
 import argparse
-import datetime as dt
 from pathlib import Path
 
 import numpy as np
 
 from crossdisp import (
+    DROP_AT_REF,
     KPolicy,
+    analyze_panel,
     bubble_panel,
-    detect_extremes,
-    dispersion_series,
-    normalize_panel,
-    tail_series,
     write_price_panel,
     write_report,
 )
-from crossdisp.io import AnalysisReport
 from crossdisp.tails import LOCAL_MINIMUM
 
 WINDOW = 20
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=20040102)
     ap.add_argument("--ref-rows", type=str, default="0,40,80",
                     help="comma-separated row indices used as reference dates")
     ap.add_argument("--out-dir", help="write panel CSV and JSON reports here")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     panel = bubble_panel(seed=args.seed)
     boost_start = panel.dates[150]
@@ -53,13 +49,11 @@ def main() -> None:
 
     for row in (int(r) for r in args.ref_rows.split(",")):
         ref = panel.dates[row]
-        perf = normalize_panel(panel, ref)
-        disp = dispersion_series(perf)
-        tails = tail_series(perf, KPolicy())
-        events = detect_extremes(tails.alphas(), WINDOW, dates=perf.dates)
+        report = analyze_panel(panel, ref, DROP_AT_REF, KPolicy(), WINDOW)
+        disp = report.dispersion
 
         peak = disp.dates[int(np.nanargmax(disp.variance))]
-        dips = [e for e in events if e.kind == LOCAL_MINIMUM]
+        dips = [e for e in report.extremes if e.kind == LOCAL_MINIMUM]
         print(f"\nreference {ref}:")
         print(f"  dispersion peak      {peak} "
               f"(V = {np.nanmax(disp.variance):.4f})")
@@ -67,9 +61,6 @@ def main() -> None:
             print(f"  tail exponent dip    {e.date} (alpha = {e.value:.3f})")
 
         if out_dir is not None:
-            report = AnalysisReport(ref_date=ref, dispersion=disp, tails=tails,
-                                    extremes=tuple(events), policy="drop-at-ref",
-                                    window=WINDOW)
             path = out_dir / f"analysis_{ref.isoformat()}.json"
             write_report(report, path, fmt="json")
             print(f"  wrote {path}")

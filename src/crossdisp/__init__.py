@@ -29,6 +29,7 @@ from .errors import (
     WindowTooLarge,
     ZeroReps,
 )
+from .cli import analyze_panel
 from .io import (
     AnalysisReport,
     RhoSweepRow,
@@ -124,8 +125,8 @@ __all__ = [
     "sample_gaussian_vector", "sample_gaussian_matrix",
     "simulate_dispersion", "variance_decay_study",
     # io
-    "load_price_panel", "write_price_panel", "tref_sweep", "write_report",
-    "render_report", "to_document", "SweepResult", "SweepEntry",
+    "load_price_panel", "write_price_panel", "analyze_panel", "tref_sweep",
+    "write_report", "render_report", "to_document", "SweepResult", "SweepEntry",
     "AnalysisReport", "RhoSweepTable", "RhoSweepRow",
     "first_trading_day_per_year",
     # synthetic

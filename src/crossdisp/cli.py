@@ -19,32 +19,29 @@ import argparse
 import datetime as dt
 import math
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .errors import DataError, NumericalError
 from .io import (
     AnalysisReport,
+    HillSweep,
     RhoSweepRow,
     RhoSweepTable,
-    _write_text,
+    _sweep_entry,
+    first_trading_day_per_year,
     load_price_panel,
     render_report,
-    to_document,
     tref_sweep,
     write_report,
-    first_trading_day_per_year,
 )
 from .panel import (
     DROP_AT_REF,
     MISSING_DATA_POLICIES,
-    dispersion_series,
+    PricePanel,
     normalize_panel,
     survival_curve,
 )
-from .simulate import SimConfig, simulate_dispersion, validate_feasibility
-from .tails import KPolicy, detect_extremes, hill_k_sweep, tail_series
+from .simulate import SimConfig, simulate_dispersion, spawn_seeds, validate_feasibility
+from .tails import KPolicy, detect_extremes, hill_k_sweep
 from .theory import CorrelationSpec, equicorrelation_expected_dispersion
 
 EXIT_OK = 0
@@ -71,7 +68,10 @@ def _iso_date(text: str) -> dt.date:
 
 
 def _date_list(text: str) -> list[dt.date]:
-    return [_iso_date(part) for part in text.split(",") if part.strip()]
+    dates = [_iso_date(part) for part in text.split(",") if part.strip()]
+    if not dates:
+        raise argparse.ArgumentTypeError("no dates given")
+    return dates
 
 
 def _year_list(text: str) -> list[int]:
@@ -190,32 +190,39 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    panel = load_price_panel(args.panel)
-    perf = normalize_panel(panel, args.tref, policy=args.policy)
-    disp = dispersion_series(perf)
-    tails = tail_series(perf, KPolicy(fraction=args.k_fraction))
-    events = detect_extremes(tails.alphas(), args.window, dates=perf.dates)
-    report = AnalysisReport(
-        ref_date=args.tref,
-        dispersion=disp,
-        tails=tails,
-        extremes=tuple(events),
-        policy=args.policy,
-        window=args.window,
-    )
+def _emit(report: object, args: argparse.Namespace, stdout_fmt: str) -> int:
+    """Write ``report`` to --out in --format, or else to stdout in ``stdout_fmt``."""
     if args.out:
         write_report(report, args.out, fmt=args.format)
     else:
-        sys.stdout.write(render_report(report, fmt="json"))
+        sys.stdout.write(render_report(report, fmt=stdout_fmt))
     return EXIT_OK
 
 
-def _write_hill_sweep(path: Path, xs: np.ndarray) -> None:
-    # the estimates and their rows are freed before the survival report
-    # is rendered, so the two never occupy memory at once
-    rows = ["k,alpha"] + [f"{e.k},{e.alpha!r}" for e in hill_k_sweep(xs)]
-    _write_text(path, "\n".join(rows) + "\n")
+def analyze_panel(
+    panel: PricePanel, ref_date: dt.date, policy: str, k_policy: KPolicy, window: int
+) -> AnalysisReport:
+    """The analyze pipeline: dispersion series, tail series and the tail
+    exponent's strict local extremes within ``window`` dates, for one reference date."""
+    # tref_sweep's normalize / dispersion / tail step; detect_extremes is called
+    # in this module's namespace, where the benchmark tracer (bench/tracer.py) wraps it
+    entry = _sweep_entry(panel, ref_date, policy, k_policy)
+    events = detect_extremes(entry.tails.alphas(), window, dates=entry.tails.dates)
+    return AnalysisReport(
+        ref_date=ref_date,
+        dispersion=entry.dispersion,
+        tails=entry.tails,
+        extremes=tuple(events),
+        policy=policy,
+        window=window,
+    )
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    panel = load_price_panel(args.panel)
+    report = analyze_panel(panel, args.tref, args.policy,
+                           KPolicy(fraction=args.k_fraction), args.window)
+    return _emit(report, args, stdout_fmt="json")
 
 
 def cmd_survival(args: argparse.Namespace) -> int:
@@ -224,27 +231,27 @@ def cmd_survival(args: argparse.Namespace) -> int:
     xs = perf.cross_section(args.date)
     curve = survival_curve(xs)
     if args.hill_sweep:
-        # written first, so an unwritable path fails before any output
-        _write_hill_sweep(Path(args.hill_sweep), xs)
-    if args.out:
-        write_report(curve, args.out, fmt=args.format)
-    else:
-        sys.stdout.write(render_report(curve, fmt=args.format))
-    return EXIT_OK
+        # written first, so an unwritable path fails before any output;
+        # the estimates are freed before the survival report is rendered
+        write_report(HillSweep(tuple(hill_k_sweep(xs))), args.hill_sweep, fmt="csv")
+    return _emit(curve, args, stdout_fmt=args.format)
 
 
 def _one_rho_row(
-    n: int, rho: float, sigma: float, reps: int, seed: int, workers: int,
-    analytic_only: bool,
+    args: argparse.Namespace, rho: float, seed: int, infeasible_analytic: bool
 ) -> RhoSweepRow:
-    expected = equicorrelation_expected_dispersion(n, rho, sigma)
-    spec = CorrelationSpec.equicorrelated(n, rho, sigma)
-    feasible = validate_feasibility(spec).feasible
-    if analytic_only or not feasible:
+    """Simulated and closed-form dispersion at one rho. An infeasible rho
+    raises NotPSD (exit 3) unless ``infeasible_analytic`` is set, in which
+    case it gets the closed form only, as --analytic-only gives every rho."""
+    expected = equicorrelation_expected_dispersion(args.n, rho, args.sigma)
+    spec = CorrelationSpec.equicorrelated(args.n, rho, args.sigma)
+    if args.analytic_only or (
+        infeasible_analytic and not validate_feasibility(spec).feasible
+    ):
         return RhoSweepRow(rho=rho, mean_vn=expected, se_vn=None,
                            expected=expected, source="analytic")
-    result = simulate_dispersion(SimConfig(spec=spec, reps=reps, seed=seed),
-                                 workers=workers)
+    result = simulate_dispersion(SimConfig(spec=spec, reps=args.m_reps, seed=seed),
+                                 workers=args.workers)
     return RhoSweepRow(rho=rho, mean_vn=result.mean_vn, se_vn=result.se_vn,
                        expected=expected, source="simulated")
 
@@ -267,34 +274,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise DataError("universe size must be at least 2")
     if args.table == "rho-sweep":
-        # independent child seed per row so rows share no draws
-        children = np.random.SeedSequence(args.seed).spawn(len(RHO_GRID))
-        rows = []
-        for rho, child in zip(RHO_GRID, children):
-            child_seed = int(child.generate_state(1, np.uint64)[0])
-            rows.append(
-                _one_rho_row(args.n, rho, args.sigma, args.m_reps, child_seed,
-                             args.workers, args.analytic_only)
-            )
-        table = RhoSweepTable(rows=tuple(rows), n=args.n, reps=args.m_reps,
-                              sigma=args.sigma, seed=args.seed)
+        rows = tuple(
+            _one_rho_row(args, rho, seed, infeasible_analytic=True)
+            for rho, seed in zip(RHO_GRID, spawn_seeds(args.seed, len(RHO_GRID)))
+        )
     else:
-        spec = CorrelationSpec.equicorrelated(args.n, args.rho, args.sigma)
-        expected = equicorrelation_expected_dispersion(args.n, args.rho, args.sigma)
-        if args.analytic_only:
-            row = RhoSweepRow(rho=args.rho, mean_vn=expected, se_vn=None,
-                              expected=expected, source="analytic")
-        else:
-            # infeasible structures raise NotPSD here (exit 3)
-            result = simulate_dispersion(
-                SimConfig(spec=spec, reps=args.m_reps, seed=args.seed),
-                workers=args.workers,
-            )
-            row = RhoSweepRow(rho=args.rho, mean_vn=result.mean_vn,
-                              se_vn=result.se_vn, expected=expected,
-                              source="simulated")
-        table = RhoSweepTable(rows=(row,), n=args.n, reps=args.m_reps,
-                              sigma=args.sigma, seed=args.seed)
+        rows = (_one_rho_row(args, args.rho, args.seed, infeasible_analytic=False),)
+    table = RhoSweepTable(rows=rows, n=args.n, reps=args.m_reps,
+                          sigma=args.sigma, seed=args.seed)
     sys.stdout.write(_format_table(table))
     if args.out:
         write_report(table, args.out, fmt=args.format)
@@ -306,11 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     refs = args.trefs if args.trefs else first_trading_day_per_year(panel, args.years)
     result = tref_sweep(panel, refs, policy=args.policy,
                         k_policy=KPolicy(fraction=args.k_fraction))
-    if args.out:
-        write_report(result, args.out, fmt=args.format)
-    else:
-        sys.stdout.write(render_report(result, fmt="json"))
-    return EXIT_OK
+    return _emit(result, args, stdout_fmt="json")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,4 +1,4 @@
-"""CSV ingestion of price panels and CSV/JSON report writing.
+"""CSV ingestion of price panels, reference-date sweeps, and CSV/JSON reports.
 
 Input contract (CSV, UTF-8, optionally starting with a byte-order mark):
 header row ``date,<ticker1>,<ticker2>,...``, one row per date with an
@@ -14,22 +14,29 @@ grows with the price matrix, not with the file text. Bytes that are not
 UTF-8, and text the csv module cannot split into cells (such as a field
 over its size limit), raise a DataError.
 
-Reports serialize floats with Python's shortest round-trip repr, so
-every written number reparses to the exact same double. JSON documents
-are a top-level object with a ``meta`` block (tool, version, policies,
-seed where applicable) and the payload arrays; undefined values are
-null in JSON and empty cells in CSV. Survival curves are written as
-two-column (z, survival) step points.
+``tref_sweep`` runs the normalize / dispersion / tail step of the
+analyze pipeline (``cli.analyze_panel``) once per reference date.
+
+Every report maps to a ``meta`` block and named tables of rows, which
+both formats render. JSON documents are a top-level object with the
+``meta`` block (tool, version, policies, seed where applicable) and each
+table as a list of objects; CSV holds one table per file. Floats use
+Python's shortest round-trip repr, so every written number reparses to
+the exact same double; undefined values are null in JSON and empty cells
+in CSV. Files are replaced atomically, never left half written.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import errno
 import json
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+import os
+import stat
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 from typing import Any
@@ -55,7 +62,13 @@ from .panel import (
     normalize_panel,
 )
 from .simulate import SimResult
-from .tails import ExtremeEvent, KPolicy, TailSeries, tail_series
+from .tails import (
+    ExtremeEvent,
+    KPolicy,
+    TailEstimate,
+    TailSeries,
+    tail_series,
+)
 from .theory import Equicorrelation
 from .version import __version__
 
@@ -172,12 +185,11 @@ def _read_panel(
 
 def write_price_panel(panel: PricePanel, path: str | Path) -> None:
     """Write a panel in the same CSV format load_price_panel reads."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date"] + list(panel.tickers))
-    for when, row in zip(panel.dates, panel.prices):
-        writer.writerow([when.isoformat()] + [_cell(v) for v in row])
-    _write_text(Path(path), buf.getvalue())
+    rows = (
+        (when.isoformat(), *map(_jf, row.tolist()))
+        for when, row in zip(panel.dates, panel.prices)
+    )
+    _write_text(Path(path), _Table(("date", *panel.tickers), rows).csv_text())
 
 
 def first_trading_day_per_year(
@@ -196,7 +208,7 @@ def first_trading_day_per_year(
 
 
 # ---------------------------------------------------------------------------
-# sweep over reference dates
+# the normalize / dispersion / tail step, for one or several reference dates
 # ---------------------------------------------------------------------------
 
 
@@ -227,6 +239,30 @@ class SweepResult:
                 raise ValueError("each sub-series must start at its own reference date")
 
 
+@dataclass(frozen=True)
+class AnalysisReport:
+    """Bundle written by the analyze command: one reference date's series."""
+
+    ref_date: dt.date
+    dispersion: DispersionSeries
+    tails: TailSeries
+    extremes: tuple[ExtremeEvent, ...]
+    policy: str
+    window: int
+
+
+def _sweep_entry(
+    panel: PricePanel, ref_date: dt.date, policy: str, k_policy: KPolicy, min_stocks: int = 2
+) -> SweepEntry:
+    """Dispersion and tail series from ``ref_date``; the performance panel is freed on return."""
+    perf = normalize_panel(panel, ref_date, policy=policy, min_stocks=min_stocks)
+    return SweepEntry(
+        ref_date=ref_date,
+        dispersion=dispersion_series(perf),
+        tails=tail_series(perf, k_policy),
+    )
+
+
 def tref_sweep(
     panel: PricePanel,
     ref_dates: list[dt.date],
@@ -239,18 +275,11 @@ def tref_sweep(
     for when in ref_dates:
         if when not in panel.dates:
             raise RefDateAbsent(when)
-    entries = []
-    for when in sorted(set(ref_dates)):
-        perf = normalize_panel(panel, when, policy=policy, min_stocks=min_stocks)
-        entries.append(
-            SweepEntry(
-                ref_date=when,
-                dispersion=dispersion_series(perf),
-                tails=tail_series(perf, kp),
-            )
-        )
     return SweepResult(
-        entries=tuple(entries),
+        entries=tuple(
+            _sweep_entry(panel, when, policy, kp, min_stocks)
+            for when in sorted(set(ref_dates))
+        ),
         universe=panel.tickers,
         policy=policy,
         k_policy=kp,
@@ -258,20 +287,8 @@ def tref_sweep(
 
 
 # ---------------------------------------------------------------------------
-# report containers assembled by the CLI
+# other report containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Bundle written by the analyze command: one reference date's series."""
-
-    ref_date: dt.date
-    dispersion: DispersionSeries
-    tails: TailSeries
-    extremes: tuple[ExtremeEvent, ...]
-    policy: str
-    window: int
 
 
 @dataclass(frozen=True)
@@ -292,27 +309,20 @@ class RhoSweepTable:
     seed: int
 
 
-# ---------------------------------------------------------------------------
-# serialization helpers
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class HillSweep:
+    """Hill estimates of one sample across k, as from ``hill_k_sweep``."""
+
+    estimates: tuple[TailEstimate, ...]
 
 
-def _cell(value: Any) -> str:
-    """One CSV cell. Floats use shortest round-trip repr, NaN/None are empty."""
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return repr(value) if math.isfinite(value) else ""
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    return str(value)
+# ---------------------------------------------------------------------------
+# report tables: one row model behind JSON and CSV
+# ---------------------------------------------------------------------------
 
 
 def _jf(value: float | None) -> float | None:
-    """JSON float: NaN and infinities become null."""
+    """A float cell: NaN and infinities become None (JSON null, empty CSV cell)."""
     if value is None:
         return None
     value = float(value)
@@ -320,213 +330,179 @@ def _jf(value: float | None) -> float | None:
 
 
 def _meta(kind: str, **extra: Any) -> dict[str, Any]:
-    meta: dict[str, Any] = {"tool": "crossdisp", "version": __version__, "kind": kind}
-    meta.update(extra)
-    return meta
-
-
-def _dispersion_rows(series: DispersionSeries) -> list[dict[str, Any]]:
-    return [
-        {
-            "date": when.isoformat(),
-            "mean": _jf(m),
-            "variance": _jf(v),
-            "count": int(c),
-        }
-        for when, m, v, c in zip(series.dates, series.mean, series.variance, series.count)
-    ]
-
-
-def _tail_rows(series: TailSeries) -> list[dict[str, Any]]:
-    rows = []
-    for when, est in zip(series.dates, series.estimates):
-        if est is None:
-            rows.append({"date": when.isoformat(), "alpha": None, "k": None,
-                         "n": None, "method": None})
-        else:
-            rows.append({"date": when.isoformat(), "alpha": _jf(est.alpha),
-                         "k": est.k, "n": est.n, "method": est.method})
-    return rows
-
-
-def _event_rows(events: tuple[ExtremeEvent, ...] | list[ExtremeEvent]) -> list[dict[str, Any]]:
-    return [
-        {
-            "date": e.date.isoformat() if isinstance(e.date, dt.date) else e.date,
-            "kind": e.kind,
-            "value": _jf(e.value),
-            "window": e.window,
-        }
-        for e in events
-    ]
-
-
-def _survival_rows(curve: SurvivalCurve) -> list[dict[str, Any]]:
-    zs, ss = curve.step_points()
-    return [{"z": _jf(z), "survival": _jf(s)} for z, s in zip(zs, ss)]
+    return {"tool": "crossdisp", "version": __version__, "kind": kind, **extra}
 
 
 def _k_policy_meta(kp: KPolicy) -> dict[str, Any]:
     return {"k_fraction": kp.fraction, "min_n": kp.min_n}
 
 
-def _sim_meta(result: SimResult) -> dict[str, Any]:
-    spec = result.config.spec
-    meta: dict[str, Any] = {
-        "n": spec.n,
-        "reps": result.config.reps,
-        "seed": result.config.seed,
-    }
-    if isinstance(spec.structure, Equicorrelation):
-        meta["rho"] = spec.structure.rho
-        meta["sigma"] = _jf(float(spec.sigmas[0]))
-    return meta
+@dataclass(frozen=True)
+class _Table:
+    """Column names plus rows produced once, when rendered. Each cell is a
+    str (dates in ISO form), an int, a float passed through ``_jf``, or None."""
+
+    columns: tuple[str, ...]
+    rows: Iterable[tuple[Any, ...]]
+
+    def objects(self) -> list[dict[str, Any]]:
+        return [dict(zip(self.columns, row)) for row in self.rows]
+
+    def csv_text(self) -> str:
+        buf = StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows(self.rows)  # None becomes an empty cell
+        return buf.getvalue()
 
 
-def to_document(result: Any) -> dict[str, Any]:
-    """JSON-ready document for any supported report object."""
+@dataclass(frozen=True)
+class _Layout:
+    """A report's JSON meta block and tables; ``json_body`` replaces the tables in JSON."""
+
+    meta: dict[str, Any]
+    tables: dict[str, _Table]
+    json_body: Callable[[], dict[str, Any]] | None = None
+
+
+def _dispersion_table(series: DispersionSeries) -> _Table:
+    return _Table(
+        ("date", "mean", "variance", "count"),
+        (
+            (when.isoformat(), _jf(m), _jf(v), int(c))
+            for when, m, v, c in zip(series.dates, series.mean, series.variance, series.count)
+        ),
+    )
+
+
+def _tail_table(series: TailSeries) -> _Table:
+    return _Table(
+        ("date", "alpha", "k", "n", "method"),
+        (
+            (when.isoformat(), None, None, None, None) if est is None
+            else (when.isoformat(), _jf(est.alpha), est.k, est.n, est.method)
+            for when, est in zip(series.dates, series.estimates)
+        ),
+    )
+
+
+def _event_table(events: Iterable[ExtremeEvent]) -> _Table:
+    return _Table(
+        ("date", "kind", "value", "window"),
+        (
+            (e.date.isoformat() if isinstance(e.date, dt.date) else e.date,
+             e.kind, _jf(e.value), e.window)
+            for e in events
+        ),
+    )
+
+
+def _survival_rows(curve: SurvivalCurve) -> Iterator[tuple[Any, ...]]:
+    zs, ss = curve.step_points()
+    for z, s in zip(zs, ss):
+        yield _jf(z), _jf(s)
+
+
+def _sweep_rows(result: SweepResult) -> Iterator[tuple[Any, ...]]:
+    for entry in result.entries:
+        ref = entry.ref_date.isoformat()
+        tails = _tail_table(entry.tails).rows
+        for (when, mean, variance, count), (_, alpha, k, _, _) in zip(
+            _dispersion_table(entry.dispersion).rows, tails
+        ):
+            yield ref, when, mean, variance, count, alpha, k
+
+
+def _layout(result: Any) -> _Layout:
+    """The meta block and tables of any supported report object."""
     if isinstance(result, DispersionSeries):
-        return {"meta": _meta("dispersion-series"), "series": _dispersion_rows(result)}
+        return _Layout(_meta("dispersion-series"), {"series": _dispersion_table(result)})
     if isinstance(result, TailSeries):
-        return {
-            "meta": _meta("tail-series", **_k_policy_meta(result.k_policy)),
-            "series": _tail_rows(result),
-        }
+        return _Layout(
+            _meta("tail-series", **_k_policy_meta(result.k_policy)),
+            {"series": _tail_table(result)},
+        )
     if isinstance(result, SurvivalCurve):
-        return {"meta": _meta("survival-curve", n=result.n), "series": _survival_rows(result)}
+        return _Layout(_meta("survival-curve", n=result.n),
+                       {"series": _Table(("z", "survival"), _survival_rows(result))})
     if isinstance(result, AnalysisReport):
-        return {
-            "meta": _meta(
+        return _Layout(
+            _meta(
                 "analysis",
                 ref_date=result.ref_date.isoformat(),
                 policy=result.policy,
                 window=result.window,
                 **_k_policy_meta(result.tails.k_policy),
             ),
-            "dispersion": _dispersion_rows(result.dispersion),
-            "tail": _tail_rows(result.tails),
-            "extremes": _event_rows(result.extremes),
-        }
+            {
+                "dispersion": _dispersion_table(result.dispersion),
+                "tail": _tail_table(result.tails),
+                "extremes": _event_table(result.extremes),
+            },
+        )
     if isinstance(result, SweepResult):
-        return {
-            "meta": _meta(
+        # JSON nests each reference date's tables; CSV joins them in one table
+        return _Layout(
+            _meta(
                 "sweep",
                 policy=result.policy,
                 universe_size=len(result.universe),
                 **_k_policy_meta(result.k_policy),
             ),
-            "series": [
-                {
-                    "ref_date": entry.ref_date.isoformat(),
-                    "dispersion": _dispersion_rows(entry.dispersion),
-                    "tail": _tail_rows(entry.tails),
-                }
-                for entry in result.entries
-            ],
-        }
-    if isinstance(result, SimResult):
-        return {
-            "meta": _meta("simulation", **_sim_meta(result)),
-            "result": {
-                "mean_vn": _jf(result.mean_vn),
-                "se_vn": _jf(result.se_vn),
-                "var_vn": _jf(result.var_vn),
+            {"series": _Table(("ref_date", "date", "mean", "variance", "count", "alpha", "k"),
+                              _sweep_rows(result))},
+            json_body=lambda: {
+                "series": [
+                    {
+                        "ref_date": entry.ref_date.isoformat(),
+                        "dispersion": _dispersion_table(entry.dispersion).objects(),
+                        "tail": _tail_table(entry.tails).objects(),
+                    }
+                    for entry in result.entries
+                ]
             },
-        }
+        )
+    if isinstance(result, SimResult):
+        spec = result.config.spec
+        meta = _meta("simulation", n=spec.n, reps=result.config.reps, seed=result.config.seed)
+        if isinstance(spec.structure, Equicorrelation):
+            meta["rho"] = spec.structure.rho
+            meta["sigma"] = _jf(float(spec.sigmas[0]))
+        row = (_jf(result.mean_vn), _jf(result.se_vn), _jf(result.var_vn),
+               result.config.reps, result.config.seed)
+        table = _Table(("mean_vn", "se_vn", "var_vn", "reps", "seed"), (row,))
+        # JSON keeps reps and seed in meta, so its result is one object without them
+        return _Layout(meta, {"result": table},
+                       json_body=lambda: {"result": dict(zip(table.columns[:3], row))})
     if isinstance(result, RhoSweepTable):
-        return {
-            "meta": _meta(
-                "rho-sweep", n=result.n, reps=result.reps,
-                sigma=_jf(result.sigma), seed=result.seed,
-            ),
-            "series": [
-                {
-                    "rho": _jf(row.rho),
-                    "mean_vn": _jf(row.mean_vn),
-                    "se_vn": _jf(row.se_vn),
-                    "expected": _jf(row.expected),
-                    "source": row.source,
-                }
-                for row in result.rows
-            ],
-        }
+        return _Layout(
+            _meta("rho-sweep", n=result.n, reps=result.reps,
+                  sigma=_jf(result.sigma), seed=result.seed),
+            {"series": _Table(
+                ("rho", "mean_vn", "se_vn", "expected", "source"),
+                ((_jf(r.rho), _jf(r.mean_vn), _jf(r.se_vn), _jf(r.expected), r.source)
+                 for r in result.rows),
+            )},
+        )
+    if isinstance(result, HillSweep):
+        return _Layout(
+            _meta("hill-sweep"),
+            {"series": _Table(("k", "alpha"), ((e.k, _jf(e.alpha)) for e in result.estimates))},
+        )
     if isinstance(result, (list, tuple)) and all(
         isinstance(e, ExtremeEvent) for e in result
     ):
-        return {"meta": _meta("extreme-events"), "events": _event_rows(result)}
+        return _Layout(_meta("extreme-events"), {"events": _event_table(result)})
     raise TypeError(f"cannot serialize {type(result).__name__}")
 
 
-def _csv_from_rows(header: list[str], rows: list[list[Any]]) -> str:
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
-
-
-def _to_csv(result: Any) -> str:
-    if isinstance(result, DispersionSeries):
-        return _csv_from_rows(
-            ["date", "mean", "variance", "count"],
-            [
-                [when, m, v, int(c)]
-                for when, m, v, c in zip(result.dates, result.mean, result.variance, result.count)
-            ],
-        )
-    if isinstance(result, TailSeries):
-        rows = []
-        for when, est in zip(result.dates, result.estimates):
-            if est is None:
-                rows.append([when, None, None, None, None])
-            else:
-                rows.append([when, est.alpha, est.k, est.n, est.method])
-        return _csv_from_rows(["date", "alpha", "k", "n", "method"], rows)
-    if isinstance(result, SurvivalCurve):
-        zs, ss = result.step_points()
-        return _csv_from_rows(
-            ["z", "survival"], [[float(z), float(s)] for z, s in zip(zs, ss)]
-        )
-    if isinstance(result, SweepResult):
-        rows = []
-        for entry in result.entries:
-            alphas = entry.tails.alphas()
-            for i, when in enumerate(entry.dispersion.dates):
-                est = entry.tails.estimates[i]
-                rows.append(
-                    [
-                        entry.ref_date,
-                        when,
-                        entry.dispersion.mean[i],
-                        entry.dispersion.variance[i],
-                        int(entry.dispersion.count[i]),
-                        float(alphas[i]),
-                        est.k if est is not None else None,
-                    ]
-                )
-        return _csv_from_rows(
-            ["ref_date", "date", "mean", "variance", "count", "alpha", "k"], rows
-        )
-    if isinstance(result, SimResult):
-        return _csv_from_rows(
-            ["mean_vn", "se_vn", "var_vn", "reps", "seed"],
-            [[result.mean_vn, result.se_vn, result.var_vn,
-              result.config.reps, result.config.seed]],
-        )
-    if isinstance(result, RhoSweepTable):
-        return _csv_from_rows(
-            ["rho", "mean_vn", "se_vn", "expected", "source"],
-            [[r.rho, r.mean_vn, r.se_vn, r.expected, r.source] for r in result.rows],
-        )
-    if isinstance(result, (list, tuple)) and all(
-        isinstance(e, ExtremeEvent) for e in result
-    ):
-        return _csv_from_rows(
-            ["date", "kind", "value", "window"],
-            [[e.date, e.kind, e.value, e.window] for e in result],
-        )
-    raise TypeError(f"cannot serialize {type(result).__name__} to CSV")
+def to_document(result: Any) -> dict[str, Any]:
+    """JSON-ready document for any supported report object."""
+    layout = _layout(result)
+    if layout.json_body is not None:
+        return {"meta": layout.meta, **layout.json_body()}
+    return {"meta": layout.meta,
+            **{name: table.objects() for name, table in layout.tables.items()}}
 
 
 def render_report(result: Any, fmt: str = "csv") -> str:
@@ -534,34 +510,66 @@ def render_report(result: Any, fmt: str = "csv") -> str:
     if fmt == "json":
         return json.dumps(to_document(result), indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
-        return _to_csv(result)
+        tables = _layout(result).tables
+        if len(tables) != 1:
+            raise TypeError(f"cannot serialize {type(result).__name__} to CSV")
+        (table,) = tables.values()
+        return table.csv_text()
     raise ValueError(f"unsupported report format: {fmt!r}")
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` through a temporary file next to ``path`` that then
+    replaces it, so a failed write leaves the old bytes or no file. The
+    directory must be writable. A new file gets 0o666 less the umask, a
+    replaced one keeps its mode, and one we may not write is left as it
+    is; a target that is not a regular file (symlink, /dev/stdout, FIFO)
+    is written in place.
+    """
     try:
-        path.write_text(text, encoding="utf-8")
+        try:
+            mode: int | None = os.lstat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            path.write_text(text, encoding="utf-8")
+            return
+        if mode is not None and not os.access(path, os.W_OK):
+            # os.replace needs only the directory, so check the file itself
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+        handle = open(tmp, "x", encoding="utf-8")  # created 0o666 less the umask
+        try:
+            with handle:
+                if mode is not None:
+                    os.fchmod(handle.fileno(), stat.S_IMODE(mode))
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        # name the target, not the temporary file
+        shown = OSError(exc.errno, exc.strerror, os.fspath(path)) if exc.filename else exc
+        raise IoError(f"cannot write {path}: {shown}") from exc
 
 
 def write_report(result: Any, path: str | Path, fmt: str = "csv") -> None:
     """Render ``result`` and write it to ``path``.
 
-    The full document is built in memory first, so a failed render never
-    leaves a partial file behind. AnalysisReport in CSV mode fans out to
-    three files (base.dispersion.csv, base.tail.csv, base.extremes.csv)
-    because its sections have different columns.
+    Every file is rendered in full before any is written, and written
+    atomically. In CSV a report with several tables (AnalysisReport)
+    writes one file per table, ``base.<table>.csv``, where ``base`` is
+    ``path`` without a ``.csv`` suffix.
     """
     path = Path(path)
-    if isinstance(result, AnalysisReport) and fmt == "csv":
-        base = path.with_suffix("") if path.suffix == ".csv" else path
-        parts = {
-            Path(f"{base}.dispersion.csv"): _to_csv(result.dispersion),
-            Path(f"{base}.tail.csv"): _to_csv(result.tails),
-            Path(f"{base}.extremes.csv"): _to_csv(list(result.extremes)),
-        }
-        for part_path, text in parts.items():
-            _write_text(part_path, text)
-        return
+    if fmt == "csv":
+        tables = _layout(result).tables
+        if len(tables) > 1:
+            base = path.with_suffix("") if path.suffix == ".csv" else path
+            texts = {Path(f"{base}.{name}.csv"): table.csv_text()
+                     for name, table in tables.items()}
+            for part_path, text in texts.items():
+                _write_text(part_path, text)
+            return
     _write_text(path, render_report(result, fmt))

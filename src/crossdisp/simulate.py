@@ -199,6 +199,14 @@ def simulate_dispersion(
     )
 
 
+def spawn_seeds(seed: int, count: int) -> list[int]:
+    """``count`` independent 64-bit child seeds of ``seed``, for runs that share no draws."""
+    return [
+        int(child.generate_state(1, np.uint64)[0])
+        for child in np.random.SeedSequence(seed).spawn(count)
+    ]
+
+
 def variance_decay_study(
     rho: float,
     sigma: float,
@@ -214,11 +222,9 @@ def variance_decay_study(
     n is the self-averaging check: cross-sectional dispersion of a
     homogeneous universe concentrates around its expectation.
     """
-    children = np.random.SeedSequence(seed).spawn(len(n_list))
     out: dict[int, SimResult] = {}
-    for n, child in zip(n_list, children):
+    for n, child_seed in zip(n_list, spawn_seeds(seed, len(n_list))):
         spec = CorrelationSpec.equicorrelated(n, rho, sigma)
-        child_seed = int(child.generate_state(1, np.uint64)[0])
         out[n] = simulate_dispersion(
             SimConfig(spec=spec, reps=reps, seed=child_seed), workers=workers
         )

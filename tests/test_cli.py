@@ -1,5 +1,8 @@
 import datetime as dt
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -120,6 +123,8 @@ def test_exit_data_unreadable_text(tail, message, tmp_path, capsys):
         ["simulate", "--sigma", "-1"],
         ["simulate", "--sigma", "inf"],
         ["simulate", "--sigma", "nan"],
+        ["sweep", "p.csv", "--trefs", ","],
+        ["sweep", "p.csv", "--trefs", ""],
     ],
 )
 def test_exit_usage_out_of_range_argument(argv, capsys):
@@ -245,6 +250,124 @@ def test_survival_hill_sweep_unwritable_path(wide_csv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("crossdisp: cannot write")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# atomic outputs
+# ---------------------------------------------------------------------------
+
+OUTPUTS = {
+    "analyze --out": (["analyze", "--tref", "2020-01-02", "--window", "2", "--out", "report.json"],
+                      ["report.json"]),
+    "analyze csv fan-out": (["analyze", "--tref", "2020-01-02", "--window", "2",
+                             "--format", "csv", "--out", "report.csv"],
+                            ["report.dispersion.csv", "report.tail.csv", "report.extremes.csv"]),
+    "survival --hill-sweep": (["survival", "--tref", "2020-01-02", "--date", "2020-01-05",
+                               "--hill-sweep", "hill.csv"], ["hill.csv"]),
+}
+
+
+def output_argv(case, panel, out_dir):
+    """The case's argv with the panel inserted and output names under out_dir."""
+    argv, written = OUTPUTS[case]
+    argv = [str(out_dir / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    return [argv[0], panel, *argv[1:]], [out_dir / name for name in written]
+
+
+def failing_replace(src, dst):
+    raise OSError(errno.EIO, os.strerror(errno.EIO), str(dst))
+
+
+class HalfWrite:
+    """A file that takes half of the text, then reports a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def fileno(self):
+        return self.handle.fileno()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUTS))
+@pytest.mark.parametrize("failure", ["replace", "write"])
+def test_failed_write_keeps_the_old_output(case, failure, wide_csv, tmp_path, monkeypatch,
+                                           capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv, targets = output_argv(case, wide_csv, out_dir)
+    for target in targets:
+        target.write_bytes(b"old bytes\n")
+    if failure == "replace":
+        monkeypatch.setattr(os, "replace", failing_replace)
+    else:
+        monkeypatch.setattr("crossdisp.io.open", lambda *a, **k: HalfWrite(open(*a, **k)),
+                            raising=False)
+    assert main(argv) == EXIT_DATA
+    assert all(target.read_bytes() == b"old bytes\n" for target in targets)
+    assert sorted(os.listdir(out_dir)) == sorted(t.name for t in targets)
+    err = capsys.readouterr().err
+    assert err.startswith("crossdisp: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUTS))
+def test_new_output_mode_follows_the_umask(case, wide_csv, tmp_path):
+    argv, targets = output_argv(case, wide_csv, tmp_path)
+    old_umask = os.umask(0o027)
+    try:
+        assert main(argv) == EXIT_OK
+    finally:
+        os.umask(old_umask)
+    assert [stat.S_IMODE(t.stat().st_mode) for t in targets] == [0o640] * len(targets)
+
+
+def test_replaced_output_keeps_its_mode(wide_csv, tmp_path):
+    argv, (target,) = output_argv("analyze --out", wide_csv, tmp_path)
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o600)
+    assert main(argv) == EXIT_OK
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert json.loads(target.read_text(encoding="utf-8"))["meta"]["kind"] == "analysis"
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUTS))
+def test_read_only_output_is_left_as_it_was(case, wide_csv, tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv, targets = output_argv(case, wide_csv, out_dir)
+    for target in targets:
+        target.write_bytes(b"old bytes\n")
+        target.chmod(0o444)
+    if os.geteuid() == 0:
+        # root may write any file: deny it, as a user without the permission is
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert main(argv) == EXIT_DATA
+    assert all(target.read_bytes() == b"old bytes\n" for target in targets)
+    assert all(stat.S_IMODE(t.stat().st_mode) == 0o444 for t in targets)
+    assert sorted(os.listdir(out_dir)) == sorted(t.name for t in targets)
+    err = capsys.readouterr().err
+    assert err.startswith(f"crossdisp: cannot write {targets[0]}: ")
+    assert f"Permission denied: '{targets[0]}'" in err
+
+
+def test_symlinked_output_is_written_in_place(wide_csv, tmp_path):
+    argv, (link,) = output_argv("analyze --out", wide_csv, tmp_path)
+    real = tmp_path / "real.json"
+    real.write_text("old\n", encoding="utf-8")
+    link.symlink_to(real)
+    assert main(argv) == EXIT_OK
+    assert link.is_symlink()
+    assert json.loads(real.read_text(encoding="utf-8"))["meta"]["kind"] == "analysis"
 
 
 # ---------------------------------------------------------------------------

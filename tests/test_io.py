@@ -16,6 +16,8 @@ from crossdisp import (
     RefDateAbsent,
     RhoSweepRow,
     RhoSweepTable,
+    analyze_panel,
+    detect_extremes,
     dispersion_series,
     first_trading_day_per_year,
     load_price_panel,
@@ -216,6 +218,27 @@ def test_sweep_absent_ref_names_date(tiny_panel):
     with pytest.raises(RefDateAbsent) as err:
         tref_sweep(tiny_panel, [d("1999-01-01")])
     assert "1999-01-01" in str(err.value)
+
+
+@pytest.mark.parametrize("policy", ["drop-at-ref", "complete-only"])
+def test_analyze_panel_is_the_hand_written_chain(gappy_panel, policy):
+    ref = gappy_panel.dates[0]
+    kp = KPolicy(min_n=2)
+    perf = normalize_panel(gappy_panel, ref, policy=policy)
+    tails = tail_series(perf, kp)
+    expected = AnalysisReport(
+        ref_date=ref,
+        dispersion=dispersion_series(perf),
+        tails=tails,
+        extremes=tuple(detect_extremes(tails.alphas(), 1, dates=perf.dates)),
+        policy=policy,
+        window=1,
+    )
+    report = analyze_panel(gappy_panel, ref, policy, kp, 1)
+    assert render_report(report, fmt="json") == render_report(expected, fmt="json")
+    (entry,) = tref_sweep(gappy_panel, [ref], policy=policy, k_policy=kp).entries
+    assert render_report(entry.dispersion) == render_report(report.dispersion)
+    assert render_report(entry.tails) == render_report(report.tails)
 
 
 # ---------------------------------------------------------------------------

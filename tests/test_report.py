@@ -1,0 +1,426 @@
+"""The report table model against the per-type serializers it replaced.
+
+The reference functions below are the earlier ``to_document``/``_to_csv``
+ladders, the ``write_report`` CSV fan-out and the hand-formatted Hill
+sweep CSV, kept verbatim in behaviour. Every report type must render to
+the same bytes in both formats, and write the same set of files.
+"""
+
+from __future__ import annotations
+
+import csv
+import datetime as dt
+import json
+import math
+import tempfile
+from io import StringIO
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossdisp import (
+    AnalysisReport,
+    CorrelationSpec,
+    DispersionSeries,
+    ExtremeEvent,
+    FullMatrix,
+    KPolicy,
+    RhoSweepRow,
+    RhoSweepTable,
+    SimConfig,
+    SimResult,
+    SurvivalCurve,
+    SweepEntry,
+    SweepResult,
+    TailEstimate,
+    TailSeries,
+    __version__,
+    render_report,
+    to_document,
+    write_report,
+)
+from crossdisp.io import HillSweep
+from crossdisp.theory import Equicorrelation
+from crossdisp.tails import HILL, LOCAL_MAXIMUM, LOCAL_MINIMUM, LOGLOG
+
+# ---------------------------------------------------------------------------
+# reference serializers
+# ---------------------------------------------------------------------------
+
+
+def ref_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return repr(value) if math.isfinite(value) else ""
+    if isinstance(value, (np.integer,)):
+        return str(int(value))
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return str(value)
+
+
+def ref_jf(value: float | None) -> float | None:
+    if value is None:
+        return None
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def ref_meta(kind: str, **extra: Any) -> dict[str, Any]:
+    meta: dict[str, Any] = {"tool": "crossdisp", "version": __version__, "kind": kind}
+    meta.update(extra)
+    return meta
+
+
+def ref_dispersion_rows(series):
+    return [
+        {"date": when.isoformat(), "mean": ref_jf(m), "variance": ref_jf(v), "count": int(c)}
+        for when, m, v, c in zip(series.dates, series.mean, series.variance, series.count)
+    ]
+
+
+def ref_tail_rows(series):
+    rows = []
+    for when, est in zip(series.dates, series.estimates):
+        if est is None:
+            rows.append({"date": when.isoformat(), "alpha": None, "k": None,
+                         "n": None, "method": None})
+        else:
+            rows.append({"date": when.isoformat(), "alpha": ref_jf(est.alpha),
+                         "k": est.k, "n": est.n, "method": est.method})
+    return rows
+
+
+def ref_event_rows(events):
+    return [
+        {
+            "date": e.date.isoformat() if isinstance(e.date, dt.date) else e.date,
+            "kind": e.kind,
+            "value": ref_jf(e.value),
+            "window": e.window,
+        }
+        for e in events
+    ]
+
+
+def ref_k_policy_meta(kp):
+    return {"k_fraction": kp.fraction, "min_n": kp.min_n}
+
+
+def ref_to_document(result):
+    if isinstance(result, DispersionSeries):
+        return {"meta": ref_meta("dispersion-series"), "series": ref_dispersion_rows(result)}
+    if isinstance(result, TailSeries):
+        return {"meta": ref_meta("tail-series", **ref_k_policy_meta(result.k_policy)),
+                "series": ref_tail_rows(result)}
+    if isinstance(result, SurvivalCurve):
+        zs, ss = result.step_points()
+        return {"meta": ref_meta("survival-curve", n=result.n),
+                "series": [{"z": ref_jf(z), "survival": ref_jf(s)} for z, s in zip(zs, ss)]}
+    if isinstance(result, AnalysisReport):
+        return {
+            "meta": ref_meta("analysis", ref_date=result.ref_date.isoformat(),
+                             policy=result.policy, window=result.window,
+                             **ref_k_policy_meta(result.tails.k_policy)),
+            "dispersion": ref_dispersion_rows(result.dispersion),
+            "tail": ref_tail_rows(result.tails),
+            "extremes": ref_event_rows(result.extremes),
+        }
+    if isinstance(result, SweepResult):
+        return {
+            "meta": ref_meta("sweep", policy=result.policy,
+                             universe_size=len(result.universe),
+                             **ref_k_policy_meta(result.k_policy)),
+            "series": [
+                {"ref_date": entry.ref_date.isoformat(),
+                 "dispersion": ref_dispersion_rows(entry.dispersion),
+                 "tail": ref_tail_rows(entry.tails)}
+                for entry in result.entries
+            ],
+        }
+    if isinstance(result, SimResult):
+        spec = result.config.spec
+        meta = {"n": spec.n, "reps": result.config.reps, "seed": result.config.seed}
+        if isinstance(spec.structure, Equicorrelation):
+            meta["rho"] = spec.structure.rho
+            meta["sigma"] = ref_jf(float(spec.sigmas[0]))
+        return {
+            "meta": ref_meta("simulation", **meta),
+            "result": {"mean_vn": ref_jf(result.mean_vn), "se_vn": ref_jf(result.se_vn),
+                       "var_vn": ref_jf(result.var_vn)},
+        }
+    if isinstance(result, RhoSweepTable):
+        return {
+            "meta": ref_meta("rho-sweep", n=result.n, reps=result.reps,
+                             sigma=ref_jf(result.sigma), seed=result.seed),
+            "series": [
+                {"rho": ref_jf(r.rho), "mean_vn": ref_jf(r.mean_vn), "se_vn": ref_jf(r.se_vn),
+                 "expected": ref_jf(r.expected), "source": r.source}
+                for r in result.rows
+            ],
+        }
+    if isinstance(result, (list, tuple)) and all(isinstance(e, ExtremeEvent) for e in result):
+        return {"meta": ref_meta("extreme-events"), "events": ref_event_rows(result)}
+    raise TypeError(f"cannot serialize {type(result).__name__}")
+
+
+def ref_csv_from_rows(header, rows):
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([ref_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def ref_to_csv(result):
+    if isinstance(result, DispersionSeries):
+        return ref_csv_from_rows(
+            ["date", "mean", "variance", "count"],
+            [[w, m, v, int(c)]
+             for w, m, v, c in zip(result.dates, result.mean, result.variance, result.count)],
+        )
+    if isinstance(result, TailSeries):
+        rows = [[w, None, None, None, None] if e is None else [w, e.alpha, e.k, e.n, e.method]
+                for w, e in zip(result.dates, result.estimates)]
+        return ref_csv_from_rows(["date", "alpha", "k", "n", "method"], rows)
+    if isinstance(result, SurvivalCurve):
+        zs, ss = result.step_points()
+        return ref_csv_from_rows(["z", "survival"],
+                                 [[float(z), float(s)] for z, s in zip(zs, ss)])
+    if isinstance(result, SweepResult):
+        rows = []
+        for entry in result.entries:
+            alphas = entry.tails.alphas()
+            for i, when in enumerate(entry.dispersion.dates):
+                est = entry.tails.estimates[i]
+                rows.append([entry.ref_date, when, entry.dispersion.mean[i],
+                             entry.dispersion.variance[i], int(entry.dispersion.count[i]),
+                             float(alphas[i]), est.k if est is not None else None])
+        return ref_csv_from_rows(
+            ["ref_date", "date", "mean", "variance", "count", "alpha", "k"], rows)
+    if isinstance(result, SimResult):
+        return ref_csv_from_rows(
+            ["mean_vn", "se_vn", "var_vn", "reps", "seed"],
+            [[result.mean_vn, result.se_vn, result.var_vn,
+              result.config.reps, result.config.seed]],
+        )
+    if isinstance(result, RhoSweepTable):
+        return ref_csv_from_rows(
+            ["rho", "mean_vn", "se_vn", "expected", "source"],
+            [[r.rho, r.mean_vn, r.se_vn, r.expected, r.source] for r in result.rows],
+        )
+    if isinstance(result, HillSweep):  # the hand-formatted --hill-sweep file
+        return "\n".join(["k,alpha"] + [f"{e.k},{e.alpha!r}" for e in result.estimates]) + "\n"
+    if isinstance(result, (list, tuple)) and all(isinstance(e, ExtremeEvent) for e in result):
+        return ref_csv_from_rows(["date", "kind", "value", "window"],
+                                 [[e.date, e.kind, e.value, e.window] for e in result])
+    raise TypeError(f"cannot serialize {type(result).__name__} to CSV")
+
+
+def ref_render_report(result, fmt):
+    if fmt == "json":
+        return json.dumps(ref_to_document(result), indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
+        return ref_to_csv(result)
+    raise ValueError(f"unsupported report format: {fmt!r}")
+
+
+def ref_write_report(result, path, fmt):
+    path = Path(path)
+    if isinstance(result, AnalysisReport) and fmt == "csv":
+        base = path.with_suffix("") if path.suffix == ".csv" else path
+        parts = {
+            Path(f"{base}.dispersion.csv"): ref_to_csv(result.dispersion),
+            Path(f"{base}.tail.csv"): ref_to_csv(result.tails),
+            Path(f"{base}.extremes.csv"): ref_to_csv(list(result.extremes)),
+        }
+        for part_path, text in parts.items():
+            part_path.write_text(text, encoding="utf-8")
+        return
+    path.write_text(ref_render_report(result, fmt), encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+START = dt.date(2001, 3, 1)
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+k_policies = st.builds(KPolicy, fraction=st.floats(min_value=0.01, max_value=0.99),
+                       min_n=st.integers(2, 50))
+
+
+def dates_from(start: dt.date, n: int) -> tuple[dt.date, ...]:
+    return tuple(start + dt.timedelta(days=i) for i in range(n))
+
+
+@st.composite
+def dispersion_series_at(draw, start: dt.date, n: int) -> DispersionSeries:
+    means = draw(st.lists(any_float, min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    variances = [
+        draw(st.one_of(st.just(math.nan), st.floats(min_value=0.0, max_value=1e300)))
+        if c >= 2 else math.nan
+        for c in counts
+    ]
+    return DispersionSeries(dates=dates_from(start, n), mean=np.array(means, dtype=float),
+                            variance=np.array(variances), count=np.array(counts))
+
+
+@st.composite
+def tail_estimates(draw) -> TailEstimate:
+    n = draw(st.integers(2, 10**6))
+    return TailEstimate(alpha=draw(positive), k=draw(st.integers(1, n - 1)), n=n,
+                        method=draw(st.sampled_from([HILL, LOGLOG])))
+
+
+@st.composite
+def tail_series_at(draw, start: dt.date, n: int) -> TailSeries:
+    estimates = draw(st.lists(st.one_of(st.none(), tail_estimates()), min_size=n, max_size=n))
+    return TailSeries(dates=dates_from(start, n), estimates=estimates,
+                      k_policy=draw(k_policies))
+
+
+@st.composite
+def event_lists(draw, dates: tuple[dt.date, ...] | None = None) -> list[ExtremeEvent]:
+    when = st.sampled_from(dates) if dates else st.integers(0, 10**6)
+    if draw(st.booleans()):
+        when = st.one_of(st.integers(0, 10**6), st.dates())
+    return draw(st.lists(st.builds(
+        ExtremeEvent, date=when, kind=st.sampled_from([LOCAL_MINIMUM, LOCAL_MAXIMUM]),
+        value=any_float, window=st.integers(1, 100)), max_size=6))
+
+
+@st.composite
+def analysis_reports(draw) -> AnalysisReport:
+    n = draw(st.integers(1, 12))
+    disp = draw(dispersion_series_at(START, n))
+    return AnalysisReport(ref_date=START, dispersion=disp, tails=draw(tail_series_at(START, n)),
+                          extremes=tuple(draw(event_lists(disp.dates))),
+                          policy=draw(st.sampled_from(["drop-at-ref", "complete-only"])),
+                          window=draw(st.integers(1, 50)))
+
+
+@st.composite
+def sweep_results(draw) -> SweepResult:
+    gaps = draw(st.lists(st.integers(1, 30), min_size=0, max_size=4))
+    refs = [START]
+    for gap in gaps:
+        refs.append(refs[-1] + dt.timedelta(days=gap))
+    entries = []
+    for ref in refs:
+        n = draw(st.integers(1, 8))
+        entries.append(SweepEntry(ref_date=ref, dispersion=draw(dispersion_series_at(ref, n)),
+                                  tails=draw(tail_series_at(ref, n))))
+    universe = tuple(f"S{i}" for i in range(draw(st.integers(1, 20))))
+    return SweepResult(entries=tuple(entries), universe=universe,
+                       policy=draw(st.sampled_from(["drop-at-ref", "complete-only"])),
+                       k_policy=draw(k_policies))
+
+
+@st.composite
+def sim_results(draw) -> SimResult:
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        spec = CorrelationSpec.equicorrelated(n, draw(st.floats(-0.2, 1.0)),
+                                              draw(st.floats(0.01, 100.0)))
+    else:
+        spec = CorrelationSpec(n=n, means=np.zeros(n), sigmas=np.ones(n),
+                               structure=FullMatrix(np.eye(n)))
+    config = SimConfig(spec=spec, reps=draw(st.integers(0, 10**6)),
+                       seed=draw(st.integers(0, 2**64 - 1)))
+    return SimResult(mean_vn=draw(any_float), se_vn=draw(any_float), var_vn=draw(any_float),
+                     config=config)
+
+
+rho_rows = st.builds(RhoSweepRow, rho=st.floats(-1.0, 1.0), mean_vn=any_float,
+                     se_vn=st.one_of(st.none(), any_float), expected=any_float,
+                     source=st.sampled_from(["simulated", "analytic"]))
+rho_tables = st.builds(RhoSweepTable, rows=st.lists(rho_rows, max_size=5).map(tuple),
+                       n=st.integers(2, 10**4), reps=st.integers(0, 10**4),
+                       sigma=positive, seed=st.integers(0, 2**64 - 1))
+survival_curves = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12).map(
+    lambda xs: SurvivalCurve(sorted_values=np.sort(np.array(xs))))
+hill_sweeps = st.lists(tail_estimates(), max_size=6).map(lambda es: HillSweep(tuple(es)))
+
+reports = st.one_of(
+    st.integers(1, 10).flatmap(lambda n: dispersion_series_at(START, n)),
+    st.integers(1, 10).flatmap(lambda n: tail_series_at(START, n)),
+    survival_curves,
+    analysis_reports(),
+    sweep_results(),
+    sim_results(),
+    rho_tables,
+    event_lists(),
+    event_lists().map(tuple),
+    hill_sweeps,
+)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+def outcome(func, *args):
+    try:
+        return func(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def written_files(write, result, name: str, fmt: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            write(result, Path(tmp) / name, fmt)
+        except (TypeError, ValueError) as exc:
+            return type(exc)
+        return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+
+
+@settings(max_examples=300, deadline=None)
+@given(result=reports)
+def test_render_report_matches_the_reference_serializers(result):
+    # the JSON of a Hill sweep is new: only its CSV had a writer before
+    if not isinstance(result, HillSweep):
+        assert outcome(render_report, result, "json") == outcome(ref_render_report, result, "json")
+        assert outcome(to_document, result) == outcome(ref_to_document, result)
+    assert outcome(render_report, result, "csv") == outcome(ref_render_report, result, "csv")
+
+
+@settings(max_examples=150, deadline=None)
+@given(result=reports, name=st.sampled_from(["out.csv", "out", "out.json"]),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_write_report_writes_the_reference_file_set(result, name, fmt):
+    if isinstance(result, HillSweep) and fmt == "json":
+        return
+    assert written_files(write_report, result, name, fmt) == written_files(
+        ref_write_report, result, name, fmt)
+
+
+def test_multi_reference_sweep_is_covered():
+    # one concrete multi-reference sweep with gaps, NaN cells and both formats
+    disp = DispersionSeries(dates=dates_from(START, 2), mean=np.array([1.0, math.nan]),
+                            variance=np.array([0.0, math.nan]), count=np.array([3, 0]))
+    later = dt.date(2001, 4, 1)
+    disp2 = DispersionSeries(dates=dates_from(later, 1), mean=np.array([2.5]),
+                             variance=np.array([math.inf]), count=np.array([4]))
+    tails = TailSeries(dates=dates_from(START, 2),
+                       estimates=(None, TailEstimate(alpha=1.5, k=2, n=9, method=HILL)))
+    tails2 = TailSeries(dates=dates_from(later, 1), estimates=(None,))
+    sweep = SweepResult(entries=(SweepEntry(START, disp, tails), SweepEntry(later, disp2, tails2)),
+                        universe=("A", "B", "C", "D"), policy="drop-at-ref", k_policy=KPolicy())
+    assert render_report(sweep, "csv") == (
+        "ref_date,date,mean,variance,count,alpha,k\n"
+        "2001-03-01,2001-03-01,1.0,0.0,3,,\n"
+        "2001-03-01,2001-03-02,,,0,1.5,2\n"
+        "2001-04-01,2001-04-01,2.5,,4,,\n"
+    )
+    assert render_report(sweep, "json") == ref_render_report(sweep, "json")
