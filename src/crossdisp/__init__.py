@@ -92,6 +92,7 @@ from .theory import (
     FullMatrix,
     TermLimits,
     dispersion_bounds,
+    equicorrelation_dispersion_variance,
     equicorrelation_expected_dispersion,
     expected_dispersion,
     limit_dispersion,
@@ -118,8 +119,8 @@ __all__ = [
     # theory
     "CorrelationSpec", "Equicorrelation", "FullMatrix",
     "EquicorrelatedFamily", "TermLimits", "expected_dispersion",
-    "equicorrelation_expected_dispersion", "limit_dispersion",
-    "dispersion_bounds",
+    "equicorrelation_expected_dispersion", "equicorrelation_dispersion_variance",
+    "limit_dispersion", "dispersion_bounds",
     # simulate
     "SimConfig", "SimResult", "FeasibilityReport", "validate_feasibility",
     "sample_gaussian_vector", "sample_gaussian_matrix",

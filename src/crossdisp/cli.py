@@ -19,6 +19,8 @@ import argparse
 import datetime as dt
 import math
 import sys
+from collections.abc import Callable
+from typing import Any
 
 from .errors import DataError, NumericalError
 from .io import (
@@ -82,6 +84,8 @@ def _year_list(text: str) -> list[int]:
             continue
         if "-" in part:
             lo, hi = part.split("-", 1)
+            if int(lo) > int(hi):
+                raise argparse.ArgumentTypeError(f"empty year range {part}")
             years.extend(range(int(lo), int(hi) + 1))
         else:
             years.append(int(part))
@@ -90,39 +94,28 @@ def _year_list(text: str) -> list[int]:
     return years
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
-    return value
+def _checked(name: str, convert: Callable[[str], Any], ok: Callable[[Any], bool],
+             message: str) -> Callable[[str], Any]:
+    """An argparse type: ``convert`` the text, and reject a value that is not ``ok``."""
+
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = name  # argparse names it in "invalid <name> value"
+    return parse
 
 
-def _k_fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must lie strictly between 0 and 1")
-    return value
-
-
-def _window(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _rho(text: str) -> float:
-    value = float(text)
-    if not -1.0 <= value <= 1.0:  # also rejects NaN
-        raise argparse.ArgumentTypeError("must lie in [-1, 1]")
-    return value
-
-
-def _sigma(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
+_seed = _checked("_seed", int, lambda v: 0 <= v < 2**64, "seed must be a 64-bit unsigned integer")
+_k_fraction = _checked("_k_fraction", float, lambda v: 0.0 < v < 1.0,
+                       "must lie strictly between 0 and 1")
+_window = _checked("_window", int, lambda v: v >= 1, "must be at least 1")
+_workers = _checked("_workers", int, lambda v: v >= 1, "must be at least 1")
+# the comparisons also reject NaN
+_rho = _checked("_rho", float, lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]")
+_sigma = _checked("_sigma", float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sweep rho over -1.0, -0.8, ..., 1.0 instead of one run")
     simulate.add_argument("--analytic-only", action="store_true",
                           help="skip sampling and report the closed-form value")
-    simulate.add_argument("--workers", type=int, default=1,
+    simulate.add_argument("--workers", type=_workers, default=1,
                           help="threads for replication blocks; never changes results")
     simulate.add_argument("--out", help="also write the table to this path")
     simulate.add_argument("--format", choices=("csv", "json"), default="json")

@@ -20,10 +20,12 @@ analyze pipeline (``cli.analyze_panel``) once per reference date.
 Every report maps to a ``meta`` block and named tables of rows, which
 both formats render. JSON documents are a top-level object with the
 ``meta`` block (tool, version, policies, seed where applicable) and each
-table as a list of objects; CSV holds one table per file. Floats use
-Python's shortest round-trip repr, so every written number reparses to
-the exact same double; undefined values are null in JSON and empty cells
-in CSV. Files are replaced atomically, never left half written.
+table as a list of objects, written here from the tables (one %-template
+per table fills each row) byte for byte as ``json.dumps(to_document(r),
+indent=2, allow_nan=False)`` would write them; CSV holds one table per
+file. Floats use Python's shortest round-trip repr, so every written
+number reparses to the exact same double; undefined values are null in
+JSON and empty cells in CSV. Files are replaced atomically.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import errno
-import json
 import math
 import os
 import stat
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from io import StringIO
+from json.encoder import JSONEncoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -186,7 +188,7 @@ def _read_panel(
 def write_price_panel(panel: PricePanel, path: str | Path) -> None:
     """Write a panel in the same CSV format load_price_panel reads."""
     rows = (
-        (when.isoformat(), *map(_jf, row.tolist()))
+        (when.isoformat(), *_jf_all(row))
         for when, row in zip(panel.dates, panel.prices)
     )
     _write_text(Path(path), _Table(("date", *panel.tickers), rows).csv_text())
@@ -323,10 +325,12 @@ class HillSweep:
 
 def _jf(value: float | None) -> float | None:
     """A float cell: NaN and infinities become None (JSON null, empty CSV cell)."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else None
+    return None if value is None or not math.isfinite(value) else float(value)
+
+
+def _jf_all(values: FloatArray) -> list[float | None]:
+    """``_jf`` of every value of a float array."""
+    return values.tolist() if np.isfinite(values).all() else list(map(_jf, values.tolist()))
 
 
 def _meta(kind: str, **extra: Any) -> dict[str, Any]:
@@ -345,9 +349,6 @@ class _Table:
     columns: tuple[str, ...]
     rows: Iterable[tuple[Any, ...]]
 
-    def objects(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def csv_text(self) -> str:
         buf = StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -364,26 +365,38 @@ class _Layout:
     tables: dict[str, _Table]
     json_body: Callable[[], dict[str, Any]] | None = None
 
+    def document(self) -> dict[str, Any]:
+        """The JSON document, each table in it still a ``_Table``."""
+        return {"meta": self.meta, **(self.tables if self.json_body is None else self.json_body())}
 
-def _dispersion_table(series: DispersionSeries) -> _Table:
+
+def _iso(dates: Iterable[dt.date]) -> list[str]:
+    return [when.isoformat() for when in dates]
+
+
+def _dispersion_table(series: DispersionSeries, iso_dates: list[str]) -> _Table:
     return _Table(
         ("date", "mean", "variance", "count"),
-        (
-            (when.isoformat(), _jf(m), _jf(v), int(c))
-            for when, m, v, c in zip(series.dates, series.mean, series.variance, series.count)
-        ),
+        zip(iso_dates, _jf_all(series.mean), _jf_all(series.variance), series.count.tolist()),
     )
 
 
-def _tail_table(series: TailSeries) -> _Table:
+def _tail_table(series: TailSeries, iso_dates: list[str]) -> _Table:
     return _Table(
         ("date", "alpha", "k", "n", "method"),
         (
-            (when.isoformat(), None, None, None, None) if est is None
-            else (when.isoformat(), _jf(est.alpha), est.k, est.n, est.method)
-            for when, est in zip(series.dates, series.estimates)
+            (when, None, None, None, None) if est is None
+            else (when, _jf(est.alpha), est.k, est.n, est.method)
+            for when, est in zip(iso_dates, series.estimates)
         ),
     )
+
+
+def _series_tables(dispersion: DispersionSeries, tails: TailSeries) -> dict[str, _Table]:
+    """The dispersion and tail tables of one reference date, each date formatted once."""
+    iso = _iso(dispersion.dates)
+    tail_iso = iso if tails.dates == dispersion.dates else _iso(tails.dates)
+    return {"dispersion": _dispersion_table(dispersion, iso), "tail": _tail_table(tails, tail_iso)}
 
 
 def _event_table(events: Iterable[ExtremeEvent]) -> _Table:
@@ -397,34 +410,20 @@ def _event_table(events: Iterable[ExtremeEvent]) -> _Table:
     )
 
 
-def _survival_rows(curve: SurvivalCurve) -> Iterator[tuple[Any, ...]]:
-    zs, ss = curve.step_points()
-    for z, s in zip(zs, ss):
-        yield _jf(z), _jf(s)
-
-
-def _sweep_rows(result: SweepResult) -> Iterator[tuple[Any, ...]]:
-    for entry in result.entries:
-        ref = entry.ref_date.isoformat()
-        tails = _tail_table(entry.tails).rows
-        for (when, mean, variance, count), (_, alpha, k, _, _) in zip(
-            _dispersion_table(entry.dispersion).rows, tails
-        ):
-            yield ref, when, mean, variance, count, alpha, k
-
-
 def _layout(result: Any) -> _Layout:
     """The meta block and tables of any supported report object."""
     if isinstance(result, DispersionSeries):
-        return _Layout(_meta("dispersion-series"), {"series": _dispersion_table(result)})
+        return _Layout(_meta("dispersion-series"),
+                       {"series": _dispersion_table(result, _iso(result.dates))})
     if isinstance(result, TailSeries):
         return _Layout(
             _meta("tail-series", **_k_policy_meta(result.k_policy)),
-            {"series": _tail_table(result)},
+            {"series": _tail_table(result, _iso(result.dates))},
         )
     if isinstance(result, SurvivalCurve):
         return _Layout(_meta("survival-curve", n=result.n),
-                       {"series": _Table(("z", "survival"), _survival_rows(result))})
+                       {"series": _Table(("z", "survival"), (
+                           (_jf(z), _jf(s)) for z, s in zip(*result.step_points())))})
     if isinstance(result, AnalysisReport):
         return _Layout(
             _meta(
@@ -435,13 +434,14 @@ def _layout(result: Any) -> _Layout:
                 **_k_policy_meta(result.tails.k_policy),
             ),
             {
-                "dispersion": _dispersion_table(result.dispersion),
-                "tail": _tail_table(result.tails),
+                **_series_tables(result.dispersion, result.tails),
                 "extremes": _event_table(result.extremes),
             },
         )
     if isinstance(result, SweepResult):
-        # JSON nests each reference date's tables; CSV joins them in one table
+        # JSON nests each reference date's tables, CSV joins them; entries are built as read
+        entries = ({"ref_date": e.ref_date.isoformat(), **_series_tables(e.dispersion, e.tails)}
+                   for e in result.entries)
         return _Layout(
             _meta(
                 "sweep",
@@ -449,18 +449,12 @@ def _layout(result: Any) -> _Layout:
                 universe_size=len(result.universe),
                 **_k_policy_meta(result.k_policy),
             ),
-            {"series": _Table(("ref_date", "date", "mean", "variance", "count", "alpha", "k"),
-                              _sweep_rows(result))},
-            json_body=lambda: {
-                "series": [
-                    {
-                        "ref_date": entry.ref_date.isoformat(),
-                        "dispersion": _dispersion_table(entry.dispersion).objects(),
-                        "tail": _tail_table(entry.tails).objects(),
-                    }
-                    for entry in result.entries
-                ]
-            },
+            # each row: ref_date, the dispersion row (date, mean, variance, count), alpha, k
+            {"series": _Table(("ref_date", "date", "mean", "variance", "count", "alpha", "k"), (
+                (e["ref_date"], *row, tail_row[1], tail_row[2])
+                for e in entries for row, tail_row in zip(e["dispersion"].rows, e["tail"].rows)
+            ))},
+            json_body=lambda: {"series": list(entries)},
         )
     if isinstance(result, SimResult):
         spec = result.config.spec
@@ -496,19 +490,66 @@ def _layout(result: Any) -> _Layout:
     raise TypeError(f"cannot serialize {type(result).__name__}")
 
 
+# a scalar as json writes it (its C encoder: no indent), ValueError if not finite
+_json_leaf = JSONEncoder(allow_nan=False).encode
+_JSON_BY_TYPE: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+
+
+def _json_cells(column: tuple[Any, ...]) -> list[str]:
+    """Each cell as ``_json_leaf`` writes it; one type's cells by that type's encoder."""
+    kinds = set(map(type, column)) - {type(None)}
+    encode = _JSON_BY_TYPE.get(kinds.pop(), _json_leaf) if len(kinds) == 1 else _json_leaf
+    if encode is float.__repr__ and not all(math.isfinite(c) for c in column if c is not None):
+        encode = _json_leaf  # raises at the first value that is not finite
+    return ["null" if cell is None else encode(cell) for cell in column]
+
+
+def _object_template(keys: Iterable[str], pad: str) -> str:
+    """A JSON object at indent ``pad`` as a %-template, one ``%s`` per key."""
+    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                        for key in keys)
+    return f"{{\n{fields}\n{pad}}}" if fields else "{}"
+
+
+def _json_text(value: Any, pad: str) -> str:
+    """``value`` (dicts, lists, ``_Table``s and scalars) nested at indent
+    ``pad``. A table is a list of objects, each row filling one template."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        return _object_template(value, pad) % tuple(_json_text(v, inner) for v in value.values())
+    if isinstance(value, _Table):
+        rows = zip(*map(_json_cells, zip(*value.rows)))
+        items = map(_object_template(value.columns, inner).__mod__, rows)
+    elif isinstance(value, (list, tuple)):
+        items = (_json_text(item, inner) for item in value)
+    else:
+        return _json_leaf(value)
+    text = f",\n{inner}".join(items)
+    return f"[\n{inner}{text}\n{pad}]" if text else "[]"
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with each ``_Table`` in it as a list of objects."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, _Table):
+        return [dict(zip(value.columns, row)) for row in value.rows]
+    return value
+
+
 def to_document(result: Any) -> dict[str, Any]:
-    """JSON-ready document for any supported report object."""
-    layout = _layout(result)
-    if layout.json_body is not None:
-        return {"meta": layout.meta, **layout.json_body()}
-    return {"meta": layout.meta,
-            **{name: table.objects() for name, table in layout.tables.items()}}
+    """JSON-ready document for any supported report object, each table a list of
+    objects; ``render_report`` writes it as ``json.dumps(..., indent=2)`` would."""
+    return _plain(_layout(result).document())
 
 
 def render_report(result: Any, fmt: str = "csv") -> str:
     """Serialize a report object to CSV or JSON text."""
     if fmt == "json":
-        return json.dumps(to_document(result), indent=2, allow_nan=False) + "\n"
+        return _json_text(_layout(result).document(), "") + "\n"
     if fmt == "csv":
         tables = _layout(result).tables
         if len(tables) != 1:

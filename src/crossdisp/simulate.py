@@ -181,7 +181,7 @@ def simulate_dispersion(
 
     n_blocks = (reps + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
             list(pool.map(run_block, range(n_blocks)))
     else:
         for block in range(n_blocks):

@@ -154,16 +154,13 @@ def expected_dispersion(spec: CorrelationSpec) -> float:
     n = spec.n
     sum_var = float(np.sum(s * s))
     if isinstance(spec.structure, Equicorrelation):
-        total = float(np.sum(s))
-        pair_sum = sum_var + spec.structure.rho * (total * total - sum_var)
+        # the same two terms, arranged so that equal sigmas at rho = 1 leave
+        # no rounding residue: np.var(s) is then zero up to its last bits
+        rho = spec.structure.rho
+        spread = (1.0 - rho) * sum_var * (n - 1) / (n * n) + rho * float(np.var(s))
     else:
-        pair_sum = float(s @ spec.structure.matrix @ s)
-    return (
-        sum_var / n
-        - pair_sum / (n * n)
-        + float(np.mean(m * m))
-        - float(np.mean(m)) ** 2
-    )
+        spread = sum_var / n - float(s @ spec.structure.matrix @ s) / (n * n)
+    return spread + float(np.mean(m * m)) - float(np.mean(m)) ** 2
 
 
 def equicorrelation_expected_dispersion(n: int, rho: float, sigma: float = 1.0) -> float:
@@ -173,6 +170,14 @@ def equicorrelation_expected_dispersion(n: int, rho: float, sigma: float = 1.0) 
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     return (1.0 - 1.0 / n) * (1.0 - rho) * sigma * sigma
+
+
+def equicorrelation_dispersion_variance(n: int, rho: float, sigma: float = 1.0) -> float:
+    """Exact Var[V] = 2 (1 - rho)^2 sigma^4 (n - 1) / n^2 for the homogeneous
+    case at any feasible rho: V ~ (1 - rho) sigma^2 chi^2_{n-1} / n, so its
+    variance is 2 E[V]^2 / (n - 1)."""
+    mean = equicorrelation_expected_dispersion(n, rho, sigma)
+    return 2.0 * mean * mean / (n - 1) if n > 1 else 0.0
 
 
 @dataclass(frozen=True)

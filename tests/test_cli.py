@@ -125,6 +125,9 @@ def test_exit_data_unreadable_text(tail, message, tmp_path, capsys):
         ["simulate", "--sigma", "nan"],
         ["sweep", "p.csv", "--trefs", ","],
         ["sweep", "p.csv", "--trefs", ""],
+        ["sweep", "p.csv", "--years", "2008-1998"],
+        ["simulate", "--workers", "0"],
+        ["simulate", "--workers", "-1"],
     ],
 )
 def test_exit_usage_out_of_range_argument(argv, capsys):
@@ -133,6 +136,12 @@ def test_exit_usage_out_of_range_argument(argv, capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("crossdisp ")
     assert "Traceback" not in captured.err
+
+
+def test_reversed_year_range_is_named(capsys):
+    assert main(["sweep", "p.csv", "--years", "2000,2008-1998"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "argument --years: empty year range 2008-1998")
 
 
 def test_exit_data_tiny_universe(capsys):

@@ -3,7 +3,9 @@
 The reference functions below are the earlier ``to_document``/``_to_csv``
 ladders, the ``write_report`` CSV fan-out and the hand-formatted Hill
 sweep CSV, kept verbatim in behaviour. Every report type must render to
-the same bytes in both formats, and write the same set of files.
+the same bytes in both formats, and write the same set of files. The
+JSON text, which the io module writes itself, must also equal what
+``json.dumps(..., indent=2)`` of the running interpreter writes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +45,7 @@ from crossdisp import (
     to_document,
     write_report,
 )
+from crossdisp import io as report_io
 from crossdisp.io import HillSweep
 from crossdisp.theory import Equicorrelation
 from crossdisp.tails import HILL, LOCAL_MAXIMUM, LOCAL_MINIMUM, LOGLOG
@@ -424,3 +428,135 @@ def test_multi_reference_sweep_is_covered():
         "2001-04-01,2001-04-01,2.5,,4,,\n"
     )
     assert render_report(sweep, "json") == ref_render_report(sweep, "json")
+
+
+# ---------------------------------------------------------------------------
+# JSON text written from the table model, against json.dumps
+# ---------------------------------------------------------------------------
+
+def dumps_reference(document) -> str:
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII, surrogates and '%'
+awkward_text = st.text(st.characters(blacklist_categories=()), max_size=8)
+
+
+@st.composite
+def reports_with_awkward_strings(draw):
+    """Reports whose free-text cells and meta values need escaping."""
+    text = draw(awkward_text)
+    kind = draw(st.sampled_from(["analysis", "sweep", "rho", "events"]))
+    if kind == "analysis":
+        report = draw(analysis_reports())
+        events = tuple(ExtremeEvent(e.date, draw(awkward_text), e.value, e.window)
+                       for e in report.extremes)
+        return AnalysisReport(report.ref_date, report.dispersion, report.tails, events,
+                              policy=text, window=report.window)
+    if kind == "sweep":
+        sweep = draw(sweep_results())
+        return SweepResult(sweep.entries, sweep.universe, policy=text, k_policy=sweep.k_policy)
+    if kind == "rho":
+        table = draw(rho_tables)
+        rows = tuple(RhoSweepRow(r.rho, r.mean_vn, r.se_vn, r.expected, draw(awkward_text))
+                     for r in table.rows)
+        return RhoSweepTable(rows, table.n, table.reps, table.sigma, table.seed)
+    return [ExtremeEvent(draw(st.integers(0, 10**6)), draw(awkward_text), draw(any_float), 1)
+            for _ in range(draw(st.integers(0, 3)))]
+
+
+EMPTY_REPORTS = [
+    SweepResult(entries=(), universe=("A",), policy="drop-at-ref", k_policy=KPolicy()),
+    RhoSweepTable(rows=(), n=2, reps=0, sigma=1.0, seed=0),
+    HillSweep(()),
+    [],
+    (),
+    DispersionSeries(dates=(), mean=np.array([]), variance=np.array([]), count=np.array([])),
+    TailSeries(dates=(), estimates=()),
+    AnalysisReport(
+        ref_date=START,
+        dispersion=DispersionSeries(dates=(START,), mean=np.array([math.nan]),
+                                    variance=np.array([math.nan]), count=np.array([0])),
+        tails=TailSeries(dates=(START,), estimates=(None,)),
+        extremes=(), policy="", window=1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(result=st.one_of(reports, reports_with_awkward_strings(), st.sampled_from(EMPTY_REPORTS)))
+def test_json_render_is_byte_identical_to_json_dumps(result):
+    assert render_report(result, "json") == dumps_reference(to_document(result))
+
+
+# documents of any shape: nested dicts and lists of scalars and tables
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30),
+                    st.floats(allow_nan=False, allow_infinity=False), awkward_text)
+
+
+# a column holds one type, with or without None, or any mix of scalars
+column_cells = [scalars, st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                awkward_text, st.booleans()]
+
+
+@st.composite
+def tables(draw):
+    columns = tuple(draw(st.lists(awkward_text, min_size=1, max_size=4, unique=True)))
+    cells = [draw(st.sampled_from(column_cells)) for _ in columns]
+    cells = [st.one_of(st.none(), c) if draw(st.booleans()) else c for c in cells]
+    rows = draw(st.lists(st.tuples(*cells), max_size=5))
+    return report_io._Table(columns, rows)
+
+
+documents = st.recursive(
+    st.one_of(scalars, tables()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(awkward_text, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=documents)
+def test_json_text_of_any_document_matches_json_dumps(document):
+    # the rows here are lists, so both sides can read them
+    assert report_io._json_text(document, "") + "\n" == dumps_reference(
+        report_io._plain(document))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_float_reaching_the_renderer_raises(bad):
+    Table = report_io._Table
+    for document in (
+        {"meta": {"x": bad}},
+        [1.0, bad],
+        Table(("a",), [(bad,)]),
+        Table(("a",), [(1.0,), (None,), (bad,)]),
+        Table(("a",), [("text",), (bad,)]),
+    ):
+        with pytest.raises(ValueError):
+            report_io._json_text(document, "")
+
+
+class CountingDate(dt.date):
+    calls = 0
+
+    def isoformat(self):
+        CountingDate.calls += 1
+        return super().isoformat()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_each_date_of_a_reference_date_is_formatted_once(fmt, tmp_path):
+    dates = tuple(CountingDate(2001, 3, day) for day in range(1, 6))
+    disp = DispersionSeries(dates=dates, mean=np.ones(5), variance=np.zeros(5),
+                            count=np.full(5, 3))
+    tails = TailSeries(dates=dates, estimates=(None,) * 5)
+    report = AnalysisReport(ref_date=START, dispersion=disp, tails=tails, extremes=(),
+                            policy="drop-at-ref", window=1)
+    # the reference dates are plain dates, so only the series' dates count
+    sweep = SweepResult(entries=(SweepEntry(START, disp, tails),), universe=("A", "B"),
+                        policy="drop-at-ref", k_policy=KPolicy())
+    CountingDate.calls = 0
+    write_report(report, tmp_path / "analysis", fmt)
+    render_report(sweep, fmt)
+    assert CountingDate.calls == 2 * len(dates)

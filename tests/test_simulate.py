@@ -8,6 +8,7 @@ from crossdisp import (
     NotPSD,
     SimConfig,
     ZeroReps,
+    equicorrelation_dispersion_variance,
     expected_dispersion,
     sample_gaussian_matrix,
     sample_gaussian_vector,
@@ -15,6 +16,7 @@ from crossdisp import (
     validate_feasibility,
     variance_decay_study,
 )
+import crossdisp.simulate as simulate_module
 from crossdisp.simulate import REPLICATION_BLOCK
 
 
@@ -192,3 +194,37 @@ def test_variance_decay_with_universe_size():
     assert 5.0 < ratio < 20.0
     for n, res in study.items():
         assert res.config.spec.n == n
+
+
+@pytest.mark.parametrize("n, rho, sigma", [(50, 0.3, 1.5), (10, 0.0, 0.5), (20, -0.04, 1.0)])
+def test_simulated_variance_matches_the_exact_law(n, rho, sigma):
+    reps = 20000
+    spec = CorrelationSpec.equicorrelated(n, rho, sigma)
+    res = simulate_dispersion(SimConfig(spec=spec, reps=reps, seed=20261018))
+    exact = equicorrelation_dispersion_variance(n, rho, sigma)
+    # V = c X with X ~ chi^2_k: Var[V] = 2 k c^2 and its fourth central
+    # moment is 12 k (k + 4) c^4, which sets the spread of the sample variance
+    k, c = n - 1, (1.0 - rho) * sigma**2 / n
+    assert exact == pytest.approx(2 * k * c**2, rel=1e-12)
+    mu4 = 12 * k * (k + 4) * c**4
+    se = math.sqrt((mu4 - exact**2 * (reps - 3) / (reps - 1)) / reps)
+    assert abs(res.var_vn - exact) < 5.0 * se
+
+
+@pytest.mark.parametrize("workers, blocks, expected", [(8, 2, 2), (5, 1, 1), (2, 3, 2)])
+def test_pool_has_no_more_threads_than_blocks(workers, blocks, expected, monkeypatch):
+    requested = []
+
+    class RecordingPool(simulate_module.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            # never start more than two threads, whatever was asked
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
+    cfg = SimConfig(spec=CorrelationSpec.equicorrelated(3, 0.1),
+                    reps=(blocks - 1) * REPLICATION_BLOCK + 1, seed=5)
+    pooled = simulate_dispersion(cfg, workers=workers, keep_per_rep=True)
+    assert requested == [expected]
+    serial = simulate_dispersion(cfg, workers=1, keep_per_rep=True)
+    assert np.array_equal(pooled.per_rep, serial.per_rep)

@@ -14,6 +14,7 @@ from crossdisp import (
     NoLimit,
     TermLimits,
     dispersion_bounds,
+    equicorrelation_dispersion_variance,
     equicorrelation_expected_dispersion,
     expected_dispersion,
     limit_dispersion,
@@ -189,3 +190,37 @@ def test_dispersion_bounds():
     assert dispersion_bounds(2) == (0.0, 1.0)
     with pytest.raises(ValueError):
         dispersion_bounds(1)
+
+
+# ---------------------------------------------------------------------------
+# exact variance of the dispersion
+# ---------------------------------------------------------------------------
+
+
+def test_dispersion_variance_closed_form():
+    # V ~ (1 - rho) sigma^2 chi^2_{n-1} / n, so Var[V] = 2 (1 - rho)^2 sigma^4 (n - 1) / n^2
+    assert equicorrelation_dispersion_variance(10, 0.0) == pytest.approx(0.18, rel=1e-14)
+    assert equicorrelation_dispersion_variance(50, 0.3, 2.0) == pytest.approx(
+        2 * 0.7**2 * 16 * 49 / 2500, rel=1e-14)
+    assert equicorrelation_dispersion_variance(1000, 1.0) == 0.0
+    assert equicorrelation_dispersion_variance(1, 0.5) == 0.0
+
+
+def test_dispersion_variance_ratio_from_ten_to_a_hundred_stocks():
+    ratio = equicorrelation_dispersion_variance(10, 0.2) / equicorrelation_dispersion_variance(
+        100, 0.2)
+    assert ratio == pytest.approx(100 / 11, rel=1e-12)
+    assert round(ratio, 2) == 9.09
+
+
+def test_dispersion_variance_validates_like_the_mean():
+    with pytest.raises(ValueError):
+        equicorrelation_dispersion_variance(0, 0.0)
+    with pytest.raises(ValueError):
+        equicorrelation_dispersion_variance(10, 1.5)
+
+
+def test_expected_dispersion_leaves_no_residue_at_full_correlation():
+    # equal sigmas at rho = 1 once left about 1e-14 of rounding in the general form
+    spec = CorrelationSpec.equicorrelated(131, 1.0, 4.726949994276382)
+    assert expected_dispersion(spec) == pytest.approx(0.0, abs=1e-14)
