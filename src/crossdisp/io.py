@@ -9,10 +9,10 @@ in any order; the panel is sorted by date after loading.
 
 Ingest is streamed: the file is read row by row, each row's prices are
 converted and checked together, and only a row that fails the check is
-parsed again cell by cell to name its first bad cell. Peak memory thus
-grows with the price matrix, not with the file text. Bytes that are not
-UTF-8, and text the csv module cannot split into cells (such as a field
-over its size limit), raise a DataError.
+parsed again cell by cell to name its first bad cell. Rows fill one
+float64 matrix, doubled when full, so peak memory follows the matrix, not
+the file text or the heap's layout. Non-UTF-8 bytes and text the csv
+module cannot split (such as an oversized field) raise a DataError.
 
 ``tref_sweep`` runs the normalize / dispersion / tail step of the
 analyze pipeline (``cli.analyze_panel``) once per reference date.
@@ -160,9 +160,8 @@ def _read_panel(
     if len(set(tickers)) != len(tickers):
         raise ParseError(1, 2, "duplicate ticker names")
 
-    dates: list[dt.date] = []
-    rows: list[FloatArray] = []
-    seen: set[dt.date] = set()
+    seen: dict[dt.date, None] = {}  # the dates in file order
+    rows = np.empty((64, len(tickers)))  # one matrix, doubled when full (see above)
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -176,13 +175,15 @@ def _read_panel(
             raise ParseError(line_no, 1, f"bad date: {row[0]!r}") from None
         if when in seen:
             raise DuplicateDate(when)
-        seen.add(when)
-        dates.append(when)
-        rows.append(_parse_prices(row[1:], line_no))
+        if len(seen) == len(rows):
+            grown = np.empty((2 * len(rows), len(tickers)))
+            grown[: len(rows)] = rows
+            rows = grown
+        rows[len(seen)] = _parse_prices(row[1:], line_no)
+        seen[when] = None
 
-    order = sorted(range(len(dates)), key=dates.__getitem__)
-    matrix = np.array([rows[i] for i in order]).reshape(len(rows), len(tickers))
-    return tuple(dates[i] for i in order), tickers, matrix
+    order = sorted(range(len(seen)), key=list(seen).__getitem__)
+    return tuple(sorted(seen)), tickers, rows[order]
 
 
 def write_price_panel(panel: PricePanel, path: str | Path) -> None:

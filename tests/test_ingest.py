@@ -159,6 +159,20 @@ def test_streamed_loader_matches_reference(text, tmp_path_factory):
     assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
 
 
+def test_unsorted_rows_past_the_first_matrix_block(tmp_path):
+    # 300 rows in random order: the loader's matrix grows from 64 rows to 512
+    rng = np.random.default_rng(7)
+    lines = ["date,A,B,C"]
+    for day in rng.permutation(300):
+        when = dt.date(2001, 1, 1) + dt.timedelta(days=int(day))
+        cells = ["" if x < 0.5 else repr(x) for x in rng.exponential(10.0, 3).tolist()]
+        lines.append(",".join([when.isoformat(), *cells]))
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_price_panel(path).prices.shape == (300, 3)
+    assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
+
+
 # ---------------------------------------------------------------------------
 # byte-order mark
 # ---------------------------------------------------------------------------
@@ -224,6 +238,6 @@ def test_ingest_peak_memory_is_bounded_by_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded.prices, prices, equal_nan=True)
-    # the rows, the stacked matrix and PricePanel's checked copy come to
-    # about 3x; the constant covers the reader's buffers and row objects
+    # the doubling matrix, its date-ordered copy and PricePanel's checked
+    # copy come to about 2.5x; the constant covers the reader's buffers
     assert peak <= 5 * loaded.prices.nbytes + 256 * 1024
