@@ -76,19 +76,21 @@ def _date_list(text: str) -> list[dt.date]:
     return dates
 
 
-def _year_list(text: str) -> list[int]:
-    years: list[int] = []
+def _year_list(text: str) -> list[tuple[int, int]]:
+    """--years as inclusive (first, last) ranges in argument order, checked
+    against the panel's years only when the sweep resolves them."""
+    years: list[tuple[int, int]] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part:
-            lo, hi = part.split("-", 1)
-            if int(lo) > int(hi):
+            lo, hi = (int(year) for year in part.split("-", 1))
+            if lo > hi:
                 raise argparse.ArgumentTypeError(f"empty year range {part}")
-            years.extend(range(int(lo), int(hi) + 1))
         else:
-            years.append(int(part))
+            lo = hi = int(part)
+        years.append((lo, hi))
     if not years:
         raise argparse.ArgumentTypeError("no years given")
     return years
@@ -237,12 +239,13 @@ def _one_rho_row(
     raises NotPSD (exit 3) unless ``infeasible_analytic`` is set, in which
     case it gets the closed form only, as --analytic-only gives every rho."""
     expected = equicorrelation_expected_dispersion(args.n, rho, args.sigma)
-    spec = CorrelationSpec.equicorrelated(args.n, rho, args.sigma)
-    if args.analytic_only or (
-        infeasible_analytic and not validate_feasibility(spec).feasible
-    ):
-        return RhoSweepRow(rho=rho, mean_vn=expected, se_vn=None,
+    analytic = RhoSweepRow(rho=rho, mean_vn=expected, se_vn=None,
                            expected=expected, source="analytic")
+    if args.analytic_only:
+        return analytic  # the closed form needs no n-long spec
+    spec = CorrelationSpec.equicorrelated(args.n, rho, args.sigma)
+    if infeasible_analytic and not validate_feasibility(spec).feasible:
+        return analytic
     result = simulate_dispersion(SimConfig(spec=spec, reps=args.m_reps, seed=seed),
                                  workers=args.workers)
     return RhoSweepRow(rho=rho, mean_vn=result.mean_vn, se_vn=result.se_vn,

@@ -196,18 +196,28 @@ def write_price_panel(panel: PricePanel, path: str | Path) -> None:
 
 
 def first_trading_day_per_year(
-    panel: PricePanel, years: list[int] | None = None
+    panel: PricePanel, years: Iterable[int | tuple[int, int]] | None = None
 ) -> list[dt.date]:
-    """Earliest panel date in each requested year (default: every year present)."""
+    """Earliest panel date in each requested year (default: every year present).
+
+    Each entry of ``years`` is a year or an inclusive (first, last) range.
+    The first year missing from the panel, in argument order, raises
+    RefDateAbsent; a range is walked only up to that year, never expanded.
+    """
     first: dict[int, dt.date] = {}
     for when in panel.dates:
         first.setdefault(when.year, when)
     if years is None:
         return [first[y] for y in sorted(first)]
-    missing = [y for y in years if y not in first]
-    if missing:
-        raise RefDateAbsent(f"no trading days in year {missing[0]}")
-    return [first[y] for y in sorted(set(years))]
+    chosen: set[int] = set()
+    for span in years:
+        year, last = span if isinstance(span, tuple) else (span, span)
+        while year <= last and year in first:
+            chosen.add(year)
+            year += 1
+        if year <= last:
+            raise RefDateAbsent(f"no trading days in year {year}")
+    return [first[y] for y in sorted(chosen)]
 
 
 # ---------------------------------------------------------------------------

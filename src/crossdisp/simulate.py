@@ -7,6 +7,19 @@ draws are therefore a pure function of the seed and its own index, so
 results are bit-identical no matter how many workers execute the blocks
 or in which order they finish.
 
+Inside a block, the stream is walked in chunks of rows holding about
+CHUNK_BYTES of draws; each chunk is drawn, transformed and reduced to
+its dispersions before the next is drawn. numpy fills normals in stream
+order, so consecutive chunk draws equal one whole-block draw bit for bit:
+the one-factor path gives the same values as drawing the block at once,
+and a row-chunked ``z @ root`` may differ from it only in the last bits.
+Each block refills one draw buffer and one sample buffer in place, so
+memory is about three chunks per worker (draws, samples and the variance
+step's deviations) plus 8 bytes per replication, and the n x n square
+root on the general path, whatever the replication count. Reusing the
+buffers also keeps the allocator from handing pages back to the system
+and faulting them in again on every chunk.
+
 Sampling honors the declared correlation structure exactly. Nonnegative
 equicorrelation uses the one-factor construction
 
@@ -30,6 +43,7 @@ from .panel import FloatArray, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
 REPLICATION_BLOCK = 4096
+CHUNK_BYTES = 2**20  # bytes of standard-normal draws in one chunk of a block
 FEASIBILITY_TOL = 1e-10
 _MAX_SEED = 2**64
 
@@ -104,8 +118,9 @@ def _symmetric_sqrt(spec: CorrelationSpec, tol: float = FEASIBILITY_TOL) -> Floa
 
 
 def _make_sampler(spec: CorrelationSpec):
-    """Build (draws_per_row, transform) where transform maps a (rows,
-    draws_per_row) standard-normal matrix to correlated samples."""
+    """Build (draws_per_row, transform) where transform(z, out) writes the
+    correlated samples for a (rows, draws_per_row) standard-normal matrix z
+    into the (rows, n) matrix out and returns it."""
     means = spec.means
     sigmas = spec.sigmas
     structure = spec.structure
@@ -113,16 +128,22 @@ def _make_sampler(spec: CorrelationSpec):
         w_common = math.sqrt(structure.rho)
         w_idio = math.sqrt(1.0 - structure.rho)
 
-        def one_factor(z: FloatArray) -> FloatArray:
-            mixed = w_common * z[:, :1] + w_idio * z[:, 1:]
-            return means + sigmas * mixed
+        def one_factor(z: FloatArray, out: FloatArray) -> FloatArray:
+            # m + sigma (w_common Z + w_idio eps) in place, rounded as the plain formula is
+            np.multiply(z[:, 1:], w_idio, out=out)
+            out += w_common * z[:, :1]
+            out *= sigmas
+            out += means
+            return out
 
         return spec.n + 1, one_factor
 
     root = _symmetric_sqrt(spec)
 
-    def general(z: FloatArray) -> FloatArray:
-        return means + z @ root
+    def general(z: FloatArray, out: FloatArray) -> FloatArray:
+        np.matmul(z, root, out=out)
+        out += means
+        return out
 
     return spec.n, general
 
@@ -137,7 +158,7 @@ def sample_gaussian_matrix(
 ) -> FloatArray:
     """Stack of ``rows`` independent cross-sections, one per row."""
     draws, transform = _make_sampler(spec)
-    return transform(rng.standard_normal((rows, draws)))
+    return transform(rng.standard_normal((rows, draws)), np.empty((rows, spec.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +190,7 @@ def simulate_dispersion(
     if not report.feasible:
         raise NotPSD(report.detail)
     draws, transform = _make_sampler(config.spec)
+    rows = max(1, CHUNK_BYTES // (8 * draws))
     reps = config.reps
     values = np.empty(reps, dtype=np.float64)
 
@@ -176,8 +198,13 @@ def simulate_dispersion(
         start = block * REPLICATION_BLOCK
         stop = min(start + REPLICATION_BLOCK, reps)
         rng = _block_rng(config.seed, block)
-        z = rng.standard_normal((stop - start, draws))
-        values[start:stop] = dispersion_values(transform(z))
+        # one draw buffer and one sample buffer per block, refilled chunk by chunk
+        z = np.empty((min(rows, stop - start), draws))
+        x = np.empty((len(z), config.spec.n))
+        for lo in range(start, stop, rows):
+            size = min(rows, stop - lo)
+            rng.standard_normal(out=z[:size])
+            values[lo:lo + size] = dispersion_values(transform(z[:size], x[:size]))
 
     n_blocks = (reps + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK
     if workers > 1:

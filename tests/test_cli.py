@@ -5,11 +5,12 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crossdisp import PricePanel, write_price_panel
+from crossdisp import CorrelationSpec, PricePanel, write_price_panel
 from crossdisp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RHO_GRID, main
 
 from conftest import d
@@ -142,6 +143,18 @@ def test_reversed_year_range_is_named(capsys):
     assert main(["sweep", "p.csv", "--years", "2000,2008-1998"]) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "argument --years: empty year range 2008-1998")
+
+
+def test_huge_year_range_exits_without_expanding_it(small_csv, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["sweep", small_csv, "--years", "2020,1-1000000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.endswith(": no trading days in year 1\n")
+    assert peak < 1024 * 1024
 
 
 def test_exit_data_tiny_universe(capsys):
@@ -390,6 +403,17 @@ def test_simulate_analytic_only_prints_closed_form(capsys):
     out = capsys.readouterr().out
     assert "1.598400e+00" in out
     assert "analytic" in out
+
+
+def test_analytic_only_builds_no_correlation_spec(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--analytic-only built an n-long CorrelationSpec")
+
+    monkeypatch.setattr(CorrelationSpec, "equicorrelated", refuse)
+    for table in ([], ["--table", "rho-sweep"]):
+        argv = ["simulate", "--n", "10000000", "--analytic-only", *table]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.count("analytic") == (11 if table else 1)
 
 
 def test_simulate_full_correlation_kills_dispersion(tmp_path):

@@ -181,6 +181,16 @@ def test_first_trading_day_per_year(tmp_path):
     ]
     with pytest.raises(RefDateAbsent):
         first_trading_day_per_year(panel, years=[2022])
+    assert first_trading_day_per_year(panel, years=[(2020, 2021), 2019]) == [
+        d("2019-12-30"),
+        d("2020-01-02"),
+        d("2021-01-04"),
+    ]
+    # the first missing year in argument order is named, ranges included
+    for years, missing in [([2021, (2019, 2023), 2018], 2022), ([2017, (2019, 2023)], 2017),
+                           ([(2020, 10**9)], 2022)]:
+        with pytest.raises(RefDateAbsent, match=f"no trading days in year {missing}$"):
+            first_trading_day_per_year(panel, years=years)
 
 
 # ---------------------------------------------------------------------------

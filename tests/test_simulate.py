@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossdisp import (
     CorrelationSpec,
     NotPSD,
     SimConfig,
     ZeroReps,
+    dispersion_values,
     equicorrelation_dispersion_variance,
     expected_dispersion,
     sample_gaussian_matrix,
@@ -17,7 +21,8 @@ from crossdisp import (
     variance_decay_study,
 )
 import crossdisp.simulate as simulate_module
-from crossdisp.simulate import REPLICATION_BLOCK
+from crossdisp.simulate import CHUNK_BYTES, REPLICATION_BLOCK
+from crossdisp.theory import Equicorrelation, FullMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +233,127 @@ def test_pool_has_no_more_threads_than_blocks(workers, blocks, expected, monkeyp
     assert requested == [expected]
     serial = simulate_dispersion(cfg, workers=1, keep_per_rep=True)
     assert np.array_equal(pooled.per_rep, serial.per_rep)
+
+
+# ---------------------------------------------------------------------------
+# chunked blocks against the whole-block sampler
+# ---------------------------------------------------------------------------
+
+
+def _whole_block_per_rep(config):
+    """Per-replication values as the unchunked sampler computed them: each
+    block's normals drawn in one standard_normal call and transformed at once."""
+    spec = config.spec
+    if isinstance(spec.structure, Equicorrelation) and spec.structure.rho >= 0.0:
+        rho = spec.structure.rho
+        draws = spec.n + 1
+
+        def transform(z):
+            mixed = math.sqrt(rho) * z[:, :1] + math.sqrt(1.0 - rho) * z[:, 1:]
+            return spec.means + spec.sigmas * mixed
+    else:
+        draws, root = spec.n, simulate_module._symmetric_sqrt(spec)
+
+        def transform(z):
+            return spec.means + z @ root
+
+    values = np.empty(config.reps)
+    for start in range(0, config.reps, REPLICATION_BLOCK):
+        stop = min(start + REPLICATION_BLOCK, config.reps)
+        rng = simulate_module._block_rng(config.seed, start // REPLICATION_BLOCK)
+        z = rng.standard_normal((stop - start, draws))
+        values[start:stop] = dispersion_values(transform(z))
+    return values
+
+
+def _chunk_rows(draws):
+    return max(1, CHUNK_BYTES // (8 * draws))
+
+
+_ONE_ROW_N = CHUNK_BYTES // 16  # one-factor draws are n + 1: from here a chunk is one row
+_DRAW_BUDGET = 2**21  # normals per example, which keeps the reference's block small
+
+
+def _boundary_reps(boundary, draws):
+    """Replications just around a chunk or block edge, capped at the draw budget."""
+    rows = _chunk_rows(draws)
+    reps = {"one": 1, "chunk-1": rows - 1, "chunk+1": rows + 1,
+            "block+1": REPLICATION_BLOCK + 1}[boundary]
+    return max(1, min(reps, _DRAW_BUDGET // draws))
+
+
+_BOUNDARIES = st.sampled_from(["one", "chunk-1", "chunk+1", "block+1"])
+
+
+def _spread_spec(n, structure, spec_seed):
+    rng = np.random.default_rng(spec_seed)
+    return CorrelationSpec(n=n, means=rng.normal(0.0, 1.0, n),
+                           sigmas=rng.uniform(0.1, 3.0, n), structure=structure)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, _ONE_ROW_N), boundary=_BOUNDARIES, rho=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**64 - 1), spec_seed=st.integers(0, 2**32 - 1))
+@example(n=_ONE_ROW_N, boundary="chunk+1", rho=0.5, seed=1, spec_seed=1)
+@example(n=1000, boundary="block+1", rho=0.3, seed=2, spec_seed=2)
+def test_chunked_one_factor_path_equals_whole_blocks(n, boundary, rho, seed, spec_seed):
+    assert _chunk_rows(_ONE_ROW_N + 1) == 1
+    spec = _spread_spec(n, Equicorrelation(rho), spec_seed)
+    config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n + 1), seed=seed)
+    reference = _whole_block_per_rep(config)
+    for workers in (1, 2):
+        chunked = simulate_dispersion(config, workers=workers, keep_per_rep=True)
+        assert np.array_equal(chunked.per_rep, reference)
+
+
+@st.composite
+def _general_structures(draw, n):
+    if draw(st.booleans()):
+        return Equicorrelation(draw(st.floats(-1.0 / (n - 1), -1e-3)))
+    factors = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, 3))
+    cov = factors @ factors.T + np.diag(np.full(n, 0.5))
+    scale = 1.0 / np.sqrt(np.diag(cov))
+    corr = np.clip(cov * scale[:, None] * scale[None, :], -1.0, 1.0)
+    corr = (corr + corr.T) / 2.0
+    np.fill_diagonal(corr, 1.0)
+    return FullMatrix(corr)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n=st.integers(2, 120), boundary=_BOUNDARIES,
+       seed=st.integers(0, 2**64 - 1), spec_seed=st.integers(0, 2**32 - 1))
+def test_chunked_general_path_matches_whole_blocks_to_rounding(data, n, boundary, seed,
+                                                                spec_seed):
+    # a row-chunked z @ root may round differently in the last bits
+    spec = _spread_spec(n, data.draw(_general_structures(n)), spec_seed)
+    config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n), seed=seed)
+    reference = _whole_block_per_rep(config)
+    serial = simulate_dispersion(config, workers=1, keep_per_rep=True)
+    threaded = simulate_dispersion(config, workers=2, keep_per_rep=True)
+    assert np.array_equal(serial.per_rep, threaded.per_rep)
+    assert np.max(np.abs(serial.per_rep - reference) / reference) <= 1e-13
+
+
+def _simulate_peak(spec, reps, workers):
+    tracemalloc.start()
+    try:
+        simulate_dispersion(SimConfig(spec=spec, reps=reps, seed=8), workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_simulate_peak_memory_is_chunks_plus_values():
+    spec = CorrelationSpec.equicorrelated(1000, 0.5)
+    spec_bytes = spec.means.nbytes + spec.sigmas.nbytes
+    # one untraced call first, so one-time allocations stay out of the peaks
+    simulate_dispersion(SimConfig(spec=spec, reps=10, seed=8), workers=2)
+    for reps in (8192, 16384):
+        # a chunk's draws, samples and the variance step's deviations: about
+        # 3x CHUNK_BYTES a worker
+        bound = 4 * 2 * CHUNK_BYTES + 8 * reps + spec_bytes
+        assert _simulate_peak(spec, reps, workers=2) <= bound
+    # one worker, so that the peak does not hang on how two threads' chunks overlap
+    small, large = (_simulate_peak(spec, reps, workers=1) for reps in (8192, 16384))
+    assert abs(large - small) <= 64 * 1024 + 8 * 8192
