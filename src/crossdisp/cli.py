@@ -31,7 +31,7 @@ from .io import (
     _sweep_entry,
     first_trading_day_per_year,
     load_price_panel,
-    render_report,
+    render_chunks,
     tref_sweep,
     write_report,
 )
@@ -190,7 +190,8 @@ def _emit(report: object, args: argparse.Namespace, stdout_fmt: str) -> int:
     if args.out:
         write_report(report, args.out, fmt=args.format)
     else:
-        sys.stdout.write(render_report(report, fmt=stdout_fmt))
+        for chunk in render_chunks(report, fmt=stdout_fmt):
+            sys.stdout.write(chunk)
     return EXIT_OK
 
 

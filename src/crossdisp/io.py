@@ -25,7 +25,10 @@ per table fills each row) byte for byte as ``json.dumps(to_document(r),
 indent=2, allow_nan=False)`` would write them; CSV holds one table per
 file. Floats use Python's shortest round-trip repr, so every written
 number reparses to the exact same double; undefined values are null in
-JSON and empty cells in CSV. Files are replaced atomically.
+JSON and empty cells in CSV. Reports are streamed, a JSON table or 64 KiB
+of CSV at a time, so memory follows the largest table, not the report;
+only the ``analyze`` CSV fan-out renders all its files before writing any.
+Files are replaced atomically.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import stat
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from io import StringIO
+from itertools import chain
 from json.encoder import JSONEncoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -360,12 +364,19 @@ class _Table:
     columns: tuple[str, ...]
     rows: Iterable[tuple[Any, ...]]
 
-    def csv_text(self) -> str:
+    def csv_text(self) -> Iterator[str]:
+        """The table as CSV, in pieces of 64 KiB or more (the last may be shorter)."""
         buf = StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        writer.writerows(self.rows)  # None becomes an empty cell
-        return buf.getvalue()
+        for row in self.rows:
+            writer.writerow(row)  # None becomes an empty cell
+            if buf.tell() >= 1 << 16:
+                yield buf.getvalue()
+                # a new buffer: one emptied by seek and truncate writes slower
+                buf = StringIO()
+                writer = csv.writer(buf, lineterminator="\n")
+        yield buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -465,7 +476,7 @@ def _layout(result: Any) -> _Layout:
                 (e["ref_date"], *row, tail_row[1], tail_row[2])
                 for e in entries for row, tail_row in zip(e["dispersion"].rows, e["tail"].rows)
             ))},
-            json_body=lambda: {"series": list(entries)},
+            json_body=lambda: {"series": entries},
         )
     if isinstance(result, SimResult):
         spec = result.config.spec
@@ -523,28 +534,37 @@ def _object_template(keys: Iterable[str], pad: str) -> str:
     return f"{{\n{fields}\n{pad}}}" if fields else "{}"
 
 
-def _json_text(value: Any, pad: str) -> str:
-    """``value`` (dicts, lists, ``_Table``s and scalars) nested at indent
-    ``pad``. A table is a list of objects, each row filling one template."""
+def _json_text(value: Any, pad: str) -> Iterator[str]:
+    """``value`` (dicts, lists or iterators, ``_Table``s, scalars) at indent ``pad``, one
+    piece per dict key, list item and table (a list of objects, one template per row)."""
     inner = pad + "  "
     if isinstance(value, dict):
-        return _object_template(value, pad) % tuple(_json_text(v, inner) for v in value.values())
-    if isinstance(value, _Table):
+        opening = "{"
+        for key, item in value.items():
+            yield f"{opening}\n{inner}{encode_basestring_ascii(key)}: "
+            yield from _json_text(item, inner)
+            opening = ","
+        yield "{}" if opening == "{" else f"\n{pad}}}"
+    elif isinstance(value, _Table):
         rows = zip(*map(_json_cells, zip(*value.rows)))
-        items = map(_object_template(value.columns, inner).__mod__, rows)
-    elif isinstance(value, (list, tuple)):
-        items = (_json_text(item, inner) for item in value)
+        text = f",\n{inner}".join(map(_object_template(value.columns, inner).__mod__, rows))
+        yield f"[\n{inner}{text}\n{pad}]" if text else "[]"
+    elif isinstance(value, (list, tuple, Iterator)):
+        opening = "["
+        for item in value:
+            yield f"{opening}\n{inner}"
+            yield from _json_text(item, inner)
+            opening = ","
+        yield "[]" if opening == "[" else f"\n{pad}]"
     else:
-        return _json_leaf(value)
-    text = f",\n{inner}".join(items)
-    return f"[\n{inner}{text}\n{pad}]" if text else "[]"
+        yield _json_leaf(value)
 
 
 def _plain(value: Any) -> Any:
     """``value`` with each ``_Table`` in it as a list of objects."""
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, Iterator)):
         return [_plain(item) for item in value]
     if isinstance(value, _Table):
         return [dict(zip(value.columns, row)) for row in value.rows]
@@ -557,10 +577,11 @@ def to_document(result: Any) -> dict[str, Any]:
     return _plain(_layout(result).document())
 
 
-def render_report(result: Any, fmt: str = "csv") -> str:
-    """Serialize a report object to CSV or JSON text."""
+def render_chunks(result: Any, fmt: str = "csv") -> Iterator[str]:
+    """A report's CSV or JSON text in pieces, each rendered when it is read;
+    an unsupported report or format raises at once, before the first piece."""
     if fmt == "json":
-        return _json_text(_layout(result).document(), "") + "\n"
+        return chain(_json_text(_layout(result).document(), ""), ("\n",))
     if fmt == "csv":
         tables = _layout(result).tables
         if len(tables) != 1:
@@ -570,21 +591,28 @@ def render_report(result: Any, fmt: str = "csv") -> str:
     raise ValueError(f"unsupported report format: {fmt!r}")
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` through a temporary file next to ``path`` that then
-    replaces it, so a failed write leaves the old bytes or no file. The
-    directory must be writable. A new file gets 0o666 less the umask, a
-    replaced one keeps its mode, and one we may not write is left as it
-    is; a target that is not a regular file (symlink, /dev/stdout, FIFO)
-    is written in place.
-    """
+def render_report(result: Any, fmt: str = "csv") -> str:
+    """Serialize a report object to CSV or JSON text."""
+    return "".join(render_chunks(result, fmt))
+
+
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks``, each as it comes, into a temporary file next to
+    ``path`` that then replaces it, so a failed write or a chunk that
+    raises leaves the old bytes or no file. The directory must be
+    writable. A new file gets 0o666 less the umask, a replaced one keeps
+    its mode, and one we may not write is left as it is; a target that is
+    not a regular file (symlink, /dev/stdout, FIFO) is written in place,
+    and keeps what was written before a failure."""
     try:
         try:
             mode: int | None = os.lstat(path).st_mode
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
-            path.write_text(text, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
             return
         if mode is not None and not os.access(path, os.W_OK):
             # os.replace needs only the directory, so check the file itself
@@ -595,7 +623,8 @@ def _write_text(path: Path, text: str) -> None:
             with handle:
                 if mode is not None:
                     os.fchmod(handle.fileno(), stat.S_IMODE(mode))
-                handle.write(text)
+                for chunk in chunks:
+                    handle.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -607,21 +636,21 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def write_report(result: Any, path: str | Path, fmt: str = "csv") -> None:
-    """Render ``result`` and write it to ``path``.
+    """Render ``result`` and write it to ``path`` atomically, streamed: each
+    piece is written as it is rendered, so memory follows the largest table.
 
-    Every file is rendered in full before any is written, and written
-    atomically. In CSV a report with several tables (AnalysisReport)
-    writes one file per table, ``base.<table>.csv``, where ``base`` is
-    ``path`` without a ``.csv`` suffix.
+    In CSV a report with several tables (AnalysisReport) writes one file
+    per table, ``base.<table>.csv``, where ``base`` is ``path`` without a
+    ``.csv`` suffix; all of them are rendered in full before any is written.
     """
     path = Path(path)
     if fmt == "csv":
         tables = _layout(result).tables
         if len(tables) > 1:
             base = path.with_suffix("") if path.suffix == ".csv" else path
-            texts = {Path(f"{base}.{name}.csv"): table.csv_text()
+            texts = {Path(f"{base}.{name}.csv"): "".join(table.csv_text())
                      for name, table in tables.items()}
             for part_path, text in texts.items():
-                _write_text(part_path, text)
+                _write_text(part_path, (text,))
             return
-    _write_text(path, render_report(result, fmt))
+    _write_text(path, render_chunks(result, fmt))

@@ -1,8 +1,11 @@
 import datetime as dt
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossdisp import (
     AnalysisReport,
@@ -249,6 +252,43 @@ def test_analyze_panel_is_the_hand_written_chain(gappy_panel, policy):
     (entry,) = tref_sweep(gappy_panel, [ref], policy=policy, k_policy=kp).entries
     assert render_report(entry.dispersion) == render_report(report.dispersion)
     assert render_report(entry.tails) == render_report(report.tails)
+
+
+@st.composite
+def panels_with_a_head(draw):
+    """A panel of 3-12 stocks priced on its first date and maybe missing later,
+    the length of a leading part of it, and a reference date at least three
+    dates before that part ends."""
+    n_stocks = draw(st.integers(3, 12))
+    n_dates = draw(st.integers(4, 14))
+    head = draw(st.integers(3, n_dates - 1))
+    ref = draw(st.integers(0, head - 3))
+    price = st.floats(0.01, 1e4)
+    rows = [draw(st.lists(price, min_size=n_stocks, max_size=n_stocks))]
+    rows += [draw(st.lists(st.one_of(price, st.just(math.nan)),
+                           min_size=n_stocks, max_size=n_stocks))
+             for _ in range(n_dates - 1)]
+    rows[ref] = rows[0]
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(n_dates))
+    panel = PricePanel(dates, tuple(f"S{i}" for i in range(n_stocks)), np.array(rows))
+    return panel, head, dates[ref]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=panels_with_a_head())
+def test_appending_dates_leaves_earlier_rows_unchanged(case):
+    # under drop-at-ref both series are computed row by row, so bit for bit
+    panel, head, ref = case
+    kp = KPolicy(fraction=0.3, min_n=3)
+    short = analyze_panel(PricePanel(panel.dates[:head], panel.tickers, panel.prices[:head]),
+                          ref, "drop-at-ref", kp, 1)
+    full = analyze_panel(panel, ref, "drop-at-ref", kp, 1)
+    n = len(short.dispersion)
+    assert short.dispersion.dates == full.dispersion.dates[:n]
+    for name in ("mean", "variance", "count"):
+        assert (getattr(short.dispersion, name).tobytes()
+                == getattr(full.dispersion, name)[:n].tobytes())
+    assert repr(short.tails.estimates) == repr(full.tails.estimates[:n])
 
 
 # ---------------------------------------------------------------------------
