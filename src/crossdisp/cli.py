@@ -19,7 +19,7 @@ import argparse
 import datetime as dt
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import Any
 
 from .errors import DataError, NumericalError
@@ -29,6 +29,7 @@ from .io import (
     RhoSweepRow,
     RhoSweepTable,
     _sweep_entry,
+    _write_text,
     first_trading_day_per_year,
     load_price_panel,
     render_chunks,
@@ -190,8 +191,7 @@ def _emit(report: object, args: argparse.Namespace, stdout_fmt: str) -> int:
     if args.out:
         write_report(report, args.out, fmt=args.format)
     else:
-        for chunk in render_chunks(report, fmt=stdout_fmt):
-            sys.stdout.write(chunk)
+        _write_text(None, render_chunks(report, fmt=stdout_fmt))
     return EXIT_OK
 
 
@@ -240,6 +240,8 @@ def _one_rho_row(
     raises NotPSD (exit 3) unless ``infeasible_analytic`` is set, in which
     case it gets the closed form only, as --analytic-only gives every rho."""
     expected = equicorrelation_expected_dispersion(args.n, rho, args.sigma)
+    if math.isinf(expected):
+        raise NumericalError(f"dispersion at sigma {args.sigma} is outside the range of a double")
     analytic = RhoSweepRow(rho=rho, mean_vn=expected, se_vn=None,
                            expected=expected, source="analytic")
     if args.analytic_only:
@@ -253,18 +255,13 @@ def _one_rho_row(
                        expected=expected, source="simulated")
 
 
-def _format_table(table: RhoSweepTable) -> str:
-    lines = [
-        f"n={table.n} reps={table.reps} sigma={table.sigma!r} seed={table.seed}",
-        f"{'rho':>6}  {'mean_vn':>14}  {'se_vn':>12}  {'expected':>14}  source",
-    ]
+def _format_table(table: RhoSweepTable) -> Iterator[str]:
+    yield f"n={table.n} reps={table.reps} sigma={table.sigma!r} seed={table.seed}\n"
+    yield f"{'rho':>6}  {'mean_vn':>14}  {'se_vn':>12}  {'expected':>14}  source\n"
     for row in table.rows:
         se = f"{row.se_vn:.6e}" if row.se_vn is not None else "-"
-        lines.append(
-            f"{row.rho:>6.1f}  {row.mean_vn:>14.6e}  {se:>12}  "
-            f"{row.expected:>14.6e}  {row.source}"
-        )
-    return "\n".join(lines) + "\n"
+        yield (f"{row.rho:>6.1f}  {row.mean_vn:>14.6e}  {se:>12}  "
+               f"{row.expected:>14.6e}  {row.source}\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -279,7 +276,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows = (_one_rho_row(args, args.rho, args.seed, infeasible_analytic=False),)
     table = RhoSweepTable(rows=rows, n=args.n, reps=args.m_reps,
                           sigma=args.sigma, seed=args.seed)
-    sys.stdout.write(_format_table(table))
+    _write_text(None, _format_table(table))
     if args.out:
         write_report(table, args.out, fmt=args.format)
     return EXIT_OK
@@ -309,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except DataError as exc:
         print(f"crossdisp: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"crossdisp: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

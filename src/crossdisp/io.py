@@ -25,10 +25,9 @@ per table fills each row) byte for byte as ``json.dumps(to_document(r),
 indent=2, allow_nan=False)`` would write them; CSV holds one table per
 file. Floats use Python's shortest round-trip repr, so every written
 number reparses to the exact same double; undefined values are null in
-JSON and empty cells in CSV. Reports are streamed, a JSON table or 64 KiB
-of CSV at a time, so memory follows the largest table, not the report;
-only the ``analyze`` CSV fan-out renders all its files before writing any.
-Files are replaced atomically.
+JSON and empty cells in CSV. Reports are streamed to their file or to
+stdout, a JSON table or 64 KiB of CSV at a time, so memory follows the
+largest table, not the report. Files are replaced atomically.
 """
 
 from __future__ import annotations
@@ -39,7 +38,9 @@ import errno
 import math
 import os
 import stat
+import sys
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from io import StringIO
 from itertools import chain
@@ -123,13 +124,8 @@ def _parse_prices(cells: list[str], line: int) -> FloatArray:
     )
 
 
-def load_price_panel(path: str | Path, fmt: str = "csv") -> PricePanel:
-    """Read a price panel file into a PricePanel.
-
-    Only the CSV format described in the module docstring is supported.
-    """
-    if fmt != "csv":
-        raise ValueError(f"unsupported panel format: {fmt!r}")
+def load_price_panel(path: str | Path) -> PricePanel:
+    """Read a price panel in the CSV format of the module docstring."""
     path = Path(path)
     try:
         with path.open(encoding="utf-8-sig") as handle:
@@ -268,11 +264,10 @@ class AnalysisReport:
     window: int
 
 
-def _sweep_entry(
-    panel: PricePanel, ref_date: dt.date, policy: str, k_policy: KPolicy, min_stocks: int = 2
-) -> SweepEntry:
+def _sweep_entry(panel: PricePanel, ref_date: dt.date, policy: str,
+                 k_policy: KPolicy) -> SweepEntry:
     """Dispersion and tail series from ``ref_date``; the performance panel is freed on return."""
-    perf = normalize_panel(panel, ref_date, policy=policy, min_stocks=min_stocks)
+    perf = normalize_panel(panel, ref_date, policy=policy)
     return SweepEntry(
         ref_date=ref_date,
         dispersion=dispersion_series(perf),
@@ -280,23 +275,15 @@ def _sweep_entry(
     )
 
 
-def tref_sweep(
-    panel: PricePanel,
-    ref_dates: list[dt.date],
-    policy: str = DROP_AT_REF,
-    k_policy: KPolicy | None = None,
-    min_stocks: int = 2,
-) -> SweepResult:
+def tref_sweep(panel: PricePanel, ref_dates: list[dt.date], policy: str = DROP_AT_REF,
+               k_policy: KPolicy | None = None) -> SweepResult:
     """Run the normalize / dispersion / tail pipeline once per reference date."""
     kp = k_policy if k_policy is not None else KPolicy()
     for when in ref_dates:
         if when not in panel.dates:
             raise RefDateAbsent(when)
     return SweepResult(
-        entries=tuple(
-            _sweep_entry(panel, when, policy, kp, min_stocks)
-            for when in sorted(set(ref_dates))
-        ),
+        entries=tuple(_sweep_entry(panel, when, policy, kp) for when in sorted(set(ref_dates))),
         universe=panel.tickers,
         policy=policy,
         k_policy=kp,
@@ -596,23 +583,25 @@ def render_report(result: Any, fmt: str = "csv") -> str:
     return "".join(render_chunks(result, fmt))
 
 
-def _write_text(path: Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks``, each as it comes, into a temporary file next to
-    ``path`` that then replaces it, so a failed write or a chunk that
-    raises leaves the old bytes or no file. The directory must be
-    writable. A new file gets 0o666 less the umask, a replaced one keeps
-    its mode, and one we may not write is left as it is; a target that is
-    not a regular file (symlink, /dev/stdout, FIFO) is written in place,
-    and keeps what was written before a failure."""
+def _write_text(path: Path | None, chunks: Iterable[str]) -> None:
+    """Write ``chunks``, each as it comes, to ``path``, or to stdout if it is
+    None; an OSError becomes an IoError naming the target. A file is written
+    into a temporary file next to it that then replaces it, so a failed write
+    or a chunk that raises leaves the old bytes or no file. The directory must
+    be writable. A new file gets 0o666 less the umask, a replaced one keeps its
+    mode, and one we may not write is left as it is. Stdout and a target that
+    is not a regular file (symlink, /dev/stdout, FIFO) are written in place and
+    flushed, and keep what was written before a failure."""
     try:
         try:
-            mode: int | None = os.lstat(path).st_mode
+            mode: int | None = None if path is None else os.lstat(path).st_mode
         except FileNotFoundError:
             mode = None
-        if mode is not None and not stat.S_ISREG(mode):
-            with open(path, "w", encoding="utf-8") as handle:
+        if path is None or (mode is not None and not stat.S_ISREG(mode)):
+            with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as handle:
                 for chunk in chunks:
                     handle.write(chunk)
+                handle.flush()
             return
         if mode is not None and not os.access(path, os.W_OK):
             # os.replace needs only the directory, so check the file itself
@@ -630,6 +619,14 @@ def _write_text(path: Path, chunks: Iterable[str]) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
+        if path is None:
+            if sys.stdout is sys.__stdout__:
+                # what stdout still buffers would fail again, with a traceback, when Python
+                # flushes it at exit: point it at /dev/null, as the signal docs advise
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            raise IoError(f"cannot write <stdout>: {exc}") from exc
         # name the target, not the temporary file
         shown = OSError(exc.errno, exc.strerror, os.fspath(path)) if exc.filename else exc
         raise IoError(f"cannot write {path}: {shown}") from exc
@@ -641,16 +638,13 @@ def write_report(result: Any, path: str | Path, fmt: str = "csv") -> None:
 
     In CSV a report with several tables (AnalysisReport) writes one file
     per table, ``base.<table>.csv``, where ``base`` is ``path`` without a
-    ``.csv`` suffix; all of them are rendered in full before any is written.
+    ``.csv`` suffix, each streamed in turn.
     """
     path = Path(path)
-    if fmt == "csv":
-        tables = _layout(result).tables
-        if len(tables) > 1:
-            base = path.with_suffix("") if path.suffix == ".csv" else path
-            texts = {Path(f"{base}.{name}.csv"): "".join(table.csv_text())
-                     for name, table in tables.items()}
-            for part_path, text in texts.items():
-                _write_text(part_path, (text,))
-            return
-    _write_text(path, render_chunks(result, fmt))
+    if fmt != "csv":
+        _write_text(path, render_chunks(result, fmt))
+        return
+    tables = _layout(result).tables
+    base = path.with_suffix("") if path.suffix == ".csv" else path
+    for name, table in tables.items():
+        _write_text(path if len(tables) == 1 else Path(f"{base}.{name}.csv"), table.csv_text())

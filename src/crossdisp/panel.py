@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.typing as npt
 
-from .errors import EmptyCrossSection, RefDateAbsent, TooFewStocks
+from .errors import DataError, EmptyCrossSection, RefDateAbsent, TooFewStocks
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -146,7 +146,8 @@ def normalize_panel(
     policy: str = DROP_AT_REF,
     min_stocks: int = 2,
 ) -> PerformancePanel:
-    """Divide every price path by its price on ``ref_date``.
+    """Divide every price path by its price on ``ref_date``. A ratio that
+    underflows to 0 or overflows to infinity raises DataError.
 
     Parameters
     ----------
@@ -173,8 +174,14 @@ def normalize_panel(
     n_kept = int(keep.sum())
     if n_kept < min_stocks:
         raise TooFewStocks(n_kept, min_stocks)
-    values = panel.prices[row:, keep] / ref_prices[keep]
+    with np.errstate(over="ignore"):
+        values = panel.prices[row:, keep] / ref_prices[keep]
     tickers = tuple(t for t, ok in zip(panel.tickers, keep) if ok)
+    if (np.fmin.reduce(values, axis=None, initial=1.0) == 0.0
+            or np.fmax.reduce(values, axis=None, initial=1.0) == np.inf):
+        i, j = np.argwhere((values == 0.0) | (values == np.inf))[0]
+        raise DataError(f"performance of {tickers[j]} on {panel.dates[row + i]} against "
+                        f"{ref_date} is outside the range of a double")
     return PerformancePanel(
         ref_date=ref_date,
         dates=panel.dates[row:],
@@ -330,7 +337,7 @@ def dispersion_series(perf: PerformancePanel) -> DispersionSeries:
     count = present.sum(axis=1, dtype=np.int64)
     # one scratch matrix: first the present values, then squared deviations
     scratch = np.where(present, values, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mean = np.where(count > 0, scratch.sum(axis=1) / count, np.nan)
         np.subtract(values, mean[:, None], out=scratch)
         np.square(scratch, out=scratch)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSD, ZeroReps
+from .errors import NotPSD, NumericalError, ZeroReps
 from .panel import FloatArray, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
@@ -180,9 +180,10 @@ def simulate_dispersion(
 
     Draws ``config.reps`` independent cross-sections and computes the
     population variance of each via the panel module. The feasibility
-    gate runs first and infeasible structures raise NotPSD. ``workers``
-    only sets how many threads execute the replication blocks; it never
-    changes the result.
+    gate runs first and infeasible structures raise NotPSD; a mean or
+    variance outside the range of a double raises NumericalError.
+    ``workers`` only sets how many threads execute the replication
+    blocks; it never changes the result.
     """
     if config.reps < 1:
         raise ZeroReps(config.reps)
@@ -201,10 +202,11 @@ def simulate_dispersion(
         # one draw buffer and one sample buffer per block, refilled chunk by chunk
         z = np.empty((min(rows, stop - start), draws))
         x = np.empty((len(z), config.spec.n))
-        for lo in range(start, stop, rows):
-            size = min(rows, stop - lo)
-            rng.standard_normal(out=z[:size])
-            values[lo:lo + size] = dispersion_values(transform(z[:size], x[:size]))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once all blocks are done
+            for lo in range(start, stop, rows):
+                size = min(rows, stop - lo)
+                rng.standard_normal(out=z[:size])
+                values[lo:lo + size] = dispersion_values(transform(z[:size], x[:size]))
 
     n_blocks = (reps + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK
     if workers > 1:
@@ -214,8 +216,11 @@ def simulate_dispersion(
         for block in range(n_blocks):
             run_block(block)
 
-    mean_vn = float(values.mean())
-    var_vn = float(values.var(ddof=1)) if reps > 1 else float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_vn = float(values.mean())
+        var_vn = float(values.var(ddof=1)) if reps > 1 else float("nan")
+    if not (math.isfinite(mean_vn) and (reps == 1 or math.isfinite(var_vn))):
+        raise NumericalError("simulated mean_vn or var_vn is outside the range of a double")
     se_vn = math.sqrt(var_vn / reps) if reps > 1 else float("nan")
     return SimResult(
         mean_vn=mean_vn,

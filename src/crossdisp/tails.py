@@ -81,8 +81,11 @@ def _hill_sums(descending: FloatArray, ks: npt.NDArray[np.intp]) -> FloatArray:
     """
     kmax = int(ks.max())
     top = descending[..., : kmax + 1]
-    lower = top[..., 1:]
-    terms = np.log1p((top[..., :-1] - lower) / lower)
+    upper, lower = top[..., :-1], top[..., 1:]
+    with np.errstate(over="ignore"):
+        terms = np.log1p((upper - lower) / lower)
+    wide = terms == np.inf  # a ratio past the largest double: subtract the logs instead
+    terms[wide] = np.log(upper[wide]) - np.log(lower[wide])
     terms *= np.arange(1, kmax + 1, dtype=np.float64)
     sums = np.cumsum(terms, axis=-1)
     if sums.ndim == 1:

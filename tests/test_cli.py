@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import crossdisp
 from crossdisp import CorrelationSpec, PricePanel, write_price_panel
 from crossdisp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RHO_GRID, main
 
@@ -390,6 +391,126 @@ def test_symlinked_output_is_written_in_place(wide_csv, tmp_path):
     assert main(argv) == EXIT_OK
     assert link.is_symlink()
     assert json.loads(real.read_text(encoding="utf-8"))["meta"]["kind"] == "analysis"
+
+
+# ---------------------------------------------------------------------------
+# failed writes to stdout
+# ---------------------------------------------------------------------------
+
+
+def crossdisp_process(argv, unbuffered, **kwargs):
+    """``python -m crossdisp`` started on ``argv``, with stdout block-buffered
+    as in a shell unless ``unbuffered``; stderr is a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(crossdisp.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "crossdisp", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def assert_failed_stdout(proc):
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_DATA
+    assert err.startswith("crossdisp: cannot write <stdout>: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    return err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_sweep_into_a_closed_pipe(unbuffered, tmp_path):
+    rng = np.random.default_rng(5)
+    panel = PricePanel(
+        dates=tuple(d("2004-01-01") + dt.timedelta(days=i) for i in range(1000)),
+        tickers=tuple(f"S{i:02d}" for i in range(12)),
+        prices=np.exp(rng.normal(0.0, 0.1, (1000, 12))),
+    )
+    path = tmp_path / "long.csv"
+    write_price_panel(panel, path)
+    # about 590 KB of JSON, far past a 64 KiB pipe buffer: the reader is gone first
+    proc = crossdisp_process(["sweep", str(path), "--years", "2004-2006"], unbuffered,
+                             stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == "{"
+    proc.stdout.close()
+    assert "Broken pipe" in assert_failed_stdout(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_simulate_into_a_full_device(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = crossdisp_process(["simulate", "--n", "4", "--m-reps", "10"], unbuffered,
+                                 stdout=full)
+        assert "No space left on device" in assert_failed_stdout(proc)
+
+
+class FullStdout:
+    """A stdout that takes nothing: every write reports a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4", "--m-reps", "2"],
+    ["analyze", "PANEL", "--tref", "2020-01-02", "--window", "2"],
+    ["survival", "PANEL", "--tref", "2020-01-02", "--date", "2020-01-05"],
+])
+def test_failed_stdout_write_is_a_data_error(argv, wide_csv, monkeypatch, capsys):
+    argv = [wide_csv if a == "PANEL" else a for a in argv]
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "crossdisp: cannot write <stdout>: [Errno 28] No space left on device\n")
+
+
+# ---------------------------------------------------------------------------
+# results outside the range of a double, and requests too large for memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("first, second", [("1e300", "1e-300"), ("1e-300", "1e300")])
+@pytest.mark.parametrize("argv", [["analyze", "--window", "1"],
+                                  ["survival", "--date", "2001-01-02"]])
+def test_performance_outside_the_doubles_is_a_data_error(first, second, argv, tmp_path,
+                                                         capsys):
+    path = tmp_path / "extreme.csv"
+    path.write_text(f"date,A,B,C\n2001-01-01,{first},1,2\n2001-01-02,{second},2,3\n"
+                    "2001-01-03,1,3,4\n", encoding="utf-8")
+    assert main([argv[0], str(path), "--tref", "2001-01-01", *argv[1:]]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("crossdisp: performance of A on 2001-01-02 against 2001-01-01 "
+                            "is outside the range of a double\n")
+
+
+@pytest.mark.parametrize("sigma", ["1e100", "1e300"])
+@pytest.mark.parametrize("table", [[], ["--table", "rho-sweep"]])
+def test_simulated_dispersion_outside_the_doubles_is_a_numerical_error(sigma, table, capsys):
+    argv = ["simulate", "--n", "40", "--m-reps", "40", "--sigma", sigma, *table]
+    assert main(argv) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("crossdisp: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(" is outside the range of a double\n")
+
+
+# Each asks numpy for 8 PiB, which fails at once and allocates nothing. A
+# smaller oversized request could be granted by overcommit and then filled.
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4", "--m-reps", "1125899906842624"],
+    ["simulate", "--n", "1125899906842624", "--m-reps", "2"],
+])
+def test_out_of_memory_is_a_data_error(argv, capsys):
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("crossdisp: out of memory: ")
+    assert captured.err.count("\n") == 1 and "8.00 PiB" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,6 @@ def test_missing_file(tmp_path):
         load_price_panel(tmp_path / "nope.csv")
 
 
-def test_unsupported_format(tmp_path):
-    with pytest.raises(ValueError):
-        load_price_panel(write(tmp_path, GOOD), fmt="parquet")
-
-
 def test_panel_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(8)
     prices = np.exp(rng.normal(4.0, 1.0, (6, 4)))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from crossdisp import (
     COMPLETE_ONLY,
+    DataError,
     EmptyCrossSection,
     PerformancePanel,
     PricePanel,
@@ -117,6 +118,21 @@ def test_normalize_keeps_later_gaps_per_date(gappy_panel):
 def test_normalize_complete_only_drops_gappy_stock(gappy_panel):
     perf = normalize_panel(gappy_panel, d("2003-01-03"), policy=COMPLETE_ONLY)
     assert perf.tickers == ("AAA", "BBB")
+
+
+@pytest.mark.parametrize("first, second", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_normalize_rejects_a_ratio_outside_the_doubles(first, second):
+    # 1e-600 underflows to 0 and 1e600 overflows to inf; both raise DataError
+    panel = PricePanel(
+        dates=(d("2001-01-01"), d("2001-01-02"), d("2001-01-03")),
+        tickers=("A", "B", "C"),
+        prices=np.array([[first, 1.0, 2.0], [second, 2.0, 3.0], [1.0, 3.0, 4.0]]),
+    )
+    message = "performance of A on 2001-01-02 against 2001-01-01 is outside the range of a double"
+    with pytest.raises(DataError, match=f"^{message}$"):
+        normalize_panel(panel, d("2001-01-01"))
+    perf = normalize_panel(panel, d("2001-01-02"))  # from the next date every ratio fits
+    assert perf.values[1, 0] == 1.0 / second
 
 
 def test_normalize_rejects_unknown_policy(tiny_panel):

@@ -635,3 +635,30 @@ def test_write_report_peak_memory_follows_one_reference_date(fmt, tmp_path):
     # peaked at 2.5-2.7x the document: 30.9 MB (JSON) and 9.2 MB (CSV).
     assert peaks[20] <= 4 * one + (1 << 20)
     assert peaks[20] <= peaks[10] + (64 << 10)
+
+
+def test_analyze_csv_fan_out_streams_each_file(tmp_path):
+    n = 30000
+    rng = np.random.default_rng(7)
+    dates = dates_from(START, n)
+    disp = DispersionSeries(dates=dates, mean=rng.random(n), variance=rng.random(n),
+                            count=np.full(n, 50))
+    tails = TailSeries(dates=dates, estimates=tuple(
+        TailEstimate(alpha=a, k=5, n=50, method=HILL) for a in (1.0 + rng.random(n))))
+    report = AnalysisReport(ref_date=START, dispersion=disp, tails=tails, extremes=(),
+                            policy="drop-at-ref", window=1)
+    peaks = []
+    for write in (lambda: report_io._layout(report).tables,
+                  lambda: write_report(report, tmp_path / "analysis.csv", "csv")):
+        tracemalloc.start()
+        try:
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    written = sum(p.stat().st_size for p in tmp_path.iterdir())
+    # Measured: building the tables peaks at 4.18 MB and writing them at 4.61 MB.
+    # Rendering all three files before writing any peaked at 7.33 MB, adding
+    # their 2.77 MB of text.
+    assert written > 2.5e6
+    assert peaks[1] <= peaks[0] + (1 << 20)

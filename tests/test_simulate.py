@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from crossdisp import (
     CorrelationSpec,
     NotPSD,
+    NumericalError,
     SimConfig,
     ZeroReps,
     dispersion_values,
@@ -70,6 +71,14 @@ def test_zero_reps():
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(10, 0.0), reps=0, seed=0)
     with pytest.raises(ZeroReps):
         simulate_dispersion(cfg)
+
+
+@pytest.mark.parametrize("sigma", [1e100, 1e200, 1.7976931348623157e308])
+def test_dispersion_outside_the_doubles_raises(sigma):
+    # V_N grows as sigma^2 and its variance as sigma^4: one of them overflows
+    cfg = SimConfig(spec=CorrelationSpec.equicorrelated(40, 0.5, sigma), reps=40, seed=0)
+    with pytest.raises(NumericalError, match="outside the range of a double"):
+        simulate_dispersion(cfg, workers=2)
 
 
 def test_seed_must_be_uint64():

@@ -132,6 +132,16 @@ def test_hill_power_transform_divides_alpha(p):
     assert powered == pytest.approx(base / p, rel=1e-10)
 
 
+def test_hill_spacing_ratio_past_the_largest_double():
+    # 1e300 / 2e-10 overflows, so that spacing's log comes from the logs
+    xs = np.array([1e300, *np.arange(2.0, 12.0) * 1e-10])
+    top = np.sort(xs)[::-1]
+    for estimate in hill_k_sweep(xs):
+        k = estimate.k
+        direct = np.sum(np.log(top[:k]) - np.log(top[k]))
+        assert estimate.alpha == pytest.approx(k / direct, rel=1e-12)
+
+
 def test_hill_k_sweep_covers_range():
     xs = pareto_grid(50, 2.0)
     estimates = hill_k_sweep(xs)
