@@ -42,8 +42,15 @@ def _as_readonly(values: object) -> FloatArray:
 
 
 def _any_nonpositive(values: FloatArray) -> bool:
-    """True if any finite entry is <= 0; NaN and +-inf are ignored."""
+    """True if any finite entry is <= 0. NaN and +-inf are skipped, since a
+    performance panel treats every non-finite value as missing."""
     return bool(np.any((values <= 0.0) & np.isfinite(values)))
+
+
+def _any_nonpositive_or_infinite(values: FloatArray) -> bool:
+    """True if any entry but NaN is <= 0 or +-inf; two reductions, no mask."""
+    return bool(np.fmin.reduce(values, axis=None, initial=np.inf) <= 0.0
+                or np.fmax.reduce(values, axis=None, initial=0.0) == np.inf)
 
 
 def _check_axes(dates: tuple[dt.date, ...], tickers: tuple[str, ...]) -> None:
@@ -58,8 +65,8 @@ def _check_axes(dates: tuple[dt.date, ...], tickers: tuple[str, ...]) -> None:
 class PricePanel:
     """Daily prices, one row per date and one column per ticker.
 
-    NaN marks a missing price. Present prices must be strictly positive,
-    dates strictly increasing and tickers unique.
+    NaN marks a missing price. Present prices must be finite and strictly
+    positive, dates strictly increasing and tickers unique.
     """
 
     dates: tuple[dt.date, ...]
@@ -77,8 +84,8 @@ class PricePanel:
                 f"{len(self.dates)} dates x {len(self.tickers)} tickers"
             )
         _check_axes(self.dates, self.tickers)
-        if _any_nonpositive(prices):
-            raise ValueError("present prices must be strictly positive")
+        if _any_nonpositive_or_infinite(prices):
+            raise ValueError("present prices must be strictly positive and finite")
 
     @property
     def n_dates(self) -> int:

@@ -28,6 +28,21 @@ equicorrelation uses the one-factor construction
 anything else goes through a symmetric square root of the covariance
 matrix. Infeasible structures (smallest correlation eigenvalue below
 -1e-10) are rejected before any sampling happens.
+
+A homogeneous universe (nonnegative equicorrelation with one sigma and
+one mean, which is what the CLI and ``variance_decay_study`` build) is
+never turned into cross-sections. Its common term m + sigma sqrt(rho) Z
+is the same for every stock and cancels in the variance:
+
+    V_N = (1 - rho) sigma^2 Var_i(eps_i).
+
+So each chunk's idiosyncratic draws are reduced straight from the draw
+buffer, and the values are scaled by (1 - rho) sigma^2 once all blocks
+are done. Rows still hold n + 1 draws, so every replication reads the
+same stream as on the one-factor path, and the values agree with the
+cross-section's to rounding. This path holds two chunks per worker, the
+draws and the variance step's deviations. A zero scale (rho = 1, or a
+scale that underflows) gives exact zeros and draws nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSD, NumericalError, ZeroReps
+from .errors import NotPSD, NumericalError, TooFewStocks, ZeroReps
 from .panel import FloatArray, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
@@ -171,6 +186,22 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, 0]))
 
 
+def _idiosyncratic_scale(spec: CorrelationSpec) -> float | None:
+    """(1 - rho) sigma^2 for a homogeneous one-factor spec, else None.
+
+    It overflows to inf rather than raising, so an out-of-range dispersion
+    ends in the NumericalError of ``simulate_dispersion``.
+    """
+    structure = spec.structure
+    if not (isinstance(structure, Equicorrelation) and structure.rho >= 0.0):
+        return None
+    sigma, mean = spec.sigmas[0], spec.means[0]
+    if np.any(spec.sigmas != sigma) or np.any(spec.means != mean):
+        return None
+    idio_sigma = math.sqrt(1.0 - structure.rho) * float(sigma)
+    return idio_sigma * idio_sigma
+
+
 def simulate_dispersion(
     config: SimConfig,
     workers: int = 1,
@@ -179,8 +210,10 @@ def simulate_dispersion(
     """Monte Carlo estimate of the expected cross-sectional dispersion.
 
     Draws ``config.reps`` independent cross-sections and computes the
-    population variance of each via the panel module. The feasibility
-    gate runs first and infeasible structures raise NotPSD; a mean or
+    population variance of each via the panel module; a homogeneous
+    one-factor spec reduces only its idiosyncratic draws (module
+    docstring). The feasibility gate runs first and infeasible structures
+    raise NotPSD; fewer than two stocks raise TooFewStocks, and a mean or
     variance outside the range of a double raises NumericalError.
     ``workers`` only sets how many threads execute the replication
     blocks; it never changes the result.
@@ -190,7 +223,14 @@ def simulate_dispersion(
     report = validate_feasibility(config.spec)
     if not report.feasible:
         raise NotPSD(report.detail)
-    draws, transform = _make_sampler(config.spec)
+    spec = config.spec
+    if spec.n < 2:
+        raise TooFewStocks(spec.n, 2)
+    scale = _idiosyncratic_scale(spec)
+    if scale is None:
+        draws, transform = _make_sampler(spec)
+    else:
+        draws, transform = spec.n + 1, None
     rows = max(1, CHUNK_BYTES // (8 * draws))
     reps = config.reps
     values = np.empty(reps, dtype=np.float64)
@@ -199,17 +239,21 @@ def simulate_dispersion(
         start = block * REPLICATION_BLOCK
         stop = min(start + REPLICATION_BLOCK, reps)
         rng = _block_rng(config.seed, block)
-        # one draw buffer and one sample buffer per block, refilled chunk by chunk
+        # one draw buffer per block, and one sample buffer on the cross-section
+        # paths, refilled chunk by chunk
         z = np.empty((min(rows, stop - start), draws))
-        x = np.empty((len(z), config.spec.n))
+        x = None if transform is None else np.empty((len(z), spec.n))
         with np.errstate(over="ignore", invalid="ignore"):  # checked once all blocks are done
             for lo in range(start, stop, rows):
                 size = min(rows, stop - lo)
                 rng.standard_normal(out=z[:size])
-                values[lo:lo + size] = dispersion_values(transform(z[:size], x[:size]))
+                chunk = z[:size, 1:] if transform is None else transform(z[:size], x[:size])
+                values[lo:lo + size] = dispersion_values(chunk)
 
     n_blocks = (reps + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK
-    if workers > 1:
+    if scale == 0.0:
+        values.fill(0.0)  # every cross-section is constant
+    elif workers > 1:
         with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
             list(pool.map(run_block, range(n_blocks)))
     else:
@@ -217,6 +261,8 @@ def simulate_dispersion(
             run_block(block)
 
     with np.errstate(over="ignore", invalid="ignore"):
+        if scale is not None:
+            values *= scale
         mean_vn = float(values.mean())
         var_vn = float(values.var(ddof=1)) if reps > 1 else float("nan")
     if not (math.isfinite(mean_vn) and (reps == 1 or math.isfinite(var_vn))):

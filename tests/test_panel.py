@@ -37,13 +37,21 @@ from conftest import d
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0])
 def test_price_panel_rejects_nonpositive_prices(bad):
-    prices = np.array([[1.0, np.nan], [np.inf, bad]])
+    prices = np.array([[1.0, np.nan], [2.0, bad]])
     with pytest.raises(ValueError, match="strictly positive"):
         PricePanel(dates=(d("2003-01-02"), d("2003-01-03")), tickers=("A", "B"), prices=prices)
 
 
-def test_price_panel_ignores_nonfinite_prices():
-    prices = np.array([[1.0, np.nan], [np.inf, -np.inf]])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_price_panel_rejects_infinite_prices(bad):
+    dates = (d("2003-01-02"), d("2003-01-03"), d("2003-01-06"))
+    prices = np.array([[1.0, 2.0, 3.0], [2.0, np.nan, 4.0], [3.0, bad, 5.0]])
+    with pytest.raises(ValueError, match="^present prices must be strictly positive and finite$"):
+        PricePanel(dates=dates, tickers=("A", "B", "C"), prices=prices)
+
+
+def test_price_panel_ignores_missing_prices():
+    prices = np.array([[1.0, np.nan], [np.nan, 2.0]])
     panel = PricePanel(dates=(d("2003-01-02"), d("2003-01-03")), tickers=("A", "B"), prices=prices)
     np.testing.assert_array_equal(panel.prices, prices)
 
@@ -62,7 +70,7 @@ def test_price_panel_construction_peak_memory():
     finally:
         tracemalloc.stop()
     assert panel.prices is not prices and not panel.prices.flags.writeable
-    # the read-only copy plus three boolean masks come to about 1.4x
+    # the read-only copy; the positivity check reduces without a mask
     assert peak <= 1.5 * prices.nbytes + 64 * 1024
 
 

@@ -11,6 +11,7 @@ from crossdisp import (
     NotPSD,
     NumericalError,
     SimConfig,
+    TooFewStocks,
     ZeroReps,
     dispersion_values,
     equicorrelation_dispersion_variance,
@@ -210,10 +211,15 @@ def test_variance_decay_with_universe_size():
         assert res.config.spec.n == n
 
 
-@pytest.mark.parametrize("n, rho, sigma", [(50, 0.3, 1.5), (10, 0.0, 0.5), (20, -0.04, 1.0)])
-def test_simulated_variance_matches_the_exact_law(n, rho, sigma):
+@pytest.mark.parametrize(
+    "n, rho, sigma, mean",
+    [(50, 0.3, 1.5, 0.0), (10, 0.0, 0.5, 0.0), (20, -0.04, 1.0, 0.0), (40, 0.6, 2.5, -7.0)],
+    # a case names its mean only where it is not 0
+    ids=["50-0.3-1.5", "10-0.0-0.5", "20--0.04-1.0", "40-0.6-2.5-mean-7.0"],
+)
+def test_simulated_variance_matches_the_exact_law(n, rho, sigma, mean):
     reps = 20000
-    spec = CorrelationSpec.equicorrelated(n, rho, sigma)
+    spec = CorrelationSpec.equicorrelated(n, rho, sigma, mean)
     res = simulate_dispersion(SimConfig(spec=spec, reps=reps, seed=20261018))
     exact = equicorrelation_dispersion_variance(n, rho, sigma)
     # V = c X with X ~ chi^2_k: Var[V] = 2 k c^2 and its fourth central
@@ -315,6 +321,49 @@ def test_chunked_one_factor_path_equals_whole_blocks(n, boundary, rho, seed, spe
         assert np.array_equal(chunked.per_rep, reference)
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, _ONE_ROW_N), boundary=_BOUNDARIES, rho=st.floats(0.0, 0.99),
+       sigma=st.floats(0.25, 4.0), mean=st.floats(-5.0, 5.0), seed=st.integers(0, 2**64 - 1))
+@example(n=_ONE_ROW_N, boundary="chunk+1", rho=0.5, sigma=0.5, mean=-2.0, seed=1)
+@example(n=1000, boundary="block+1", rho=0.3, sigma=1.5, mean=0.7, seed=2)
+@example(n=2, boundary="chunk-1", rho=0.99, sigma=0.25, mean=5.0, seed=3)
+def test_homogeneous_path_matches_the_cross_sections(n, boundary, rho, sigma, mean, seed):
+    # one sigma and one mean: the values come from the idiosyncratic draws
+    # alone, scaled by (1 - rho) sigma^2, and the reference builds every
+    # cross-section. Its rounding grows with |mean| / sigma and 1 / sqrt(1 - rho)
+    # and is not relative to each value (in a small universe two draws can
+    # nearly coincide), so the gap is measured against the scale of V_N.
+    spec = CorrelationSpec.equicorrelated(n, rho, sigma, mean)
+    config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n + 1), seed=seed)
+    reference = _whole_block_per_rep(config)
+    serial = simulate_dispersion(config, workers=1, keep_per_rep=True)
+    threaded = simulate_dispersion(config, workers=2, keep_per_rep=True)
+    assert np.array_equal(serial.per_rep, threaded.per_rep)
+    assert np.max(np.abs(serial.per_rep - reference)) <= 1e-12 * (1.0 - rho) * sigma**2
+
+
+@pytest.mark.parametrize("rho, sigma", [(1.0, 1.0), (1.0, 1e200), (0.5, 1e-200)])
+def test_zero_scale_gives_exact_zeros_without_drawing(rho, sigma, monkeypatch):
+    # (1 - rho) sigma^2 is 0 at rho = 1, whatever sigma, and when sigma^2 underflows
+    def no_stream(seed, block):
+        raise AssertionError("a constant cross-section needs no draws")
+
+    monkeypatch.setattr(simulate_module, "_block_rng", no_stream)
+    spec = CorrelationSpec.equicorrelated(1000, rho, sigma, mean=3.0)
+    config = SimConfig(spec=spec, reps=REPLICATION_BLOCK + 1, seed=4)
+    for workers in (1, 2):
+        res = simulate_dispersion(config, workers=workers, keep_per_rep=True)
+        assert np.array_equal(res.per_rep, np.zeros(config.reps))
+        assert (res.mean_vn, res.var_vn, res.se_vn) == (0.0, 0.0, 0.0)
+
+
+def test_one_stock_has_no_dispersion_to_simulate():
+    for rho in (0.5, 1.0):
+        config = SimConfig(spec=CorrelationSpec.equicorrelated(1, rho), reps=10, seed=0)
+        with pytest.raises(TooFewStocks):
+            simulate_dispersion(config)
+
+
 @st.composite
 def _general_structures(draw, n):
     if draw(st.booleans()):
@@ -359,9 +408,9 @@ def test_simulate_peak_memory_is_chunks_plus_values():
     # one untraced call first, so one-time allocations stay out of the peaks
     simulate_dispersion(SimConfig(spec=spec, reps=10, seed=8), workers=2)
     for reps in (8192, 16384):
-        # a chunk's draws, samples and the variance step's deviations: about
-        # 3x CHUNK_BYTES a worker
-        bound = 4 * 2 * CHUNK_BYTES + 8 * reps + spec_bytes
+        # a homogeneous spec builds no samples: a chunk's draws and the variance
+        # step's deviations, about 2x CHUNK_BYTES a worker
+        bound = 3 * 2 * CHUNK_BYTES + 8 * reps + spec_bytes
         assert _simulate_peak(spec, reps, workers=2) <= bound
     # one worker, so that the peak does not hang on how two threads' chunks overlap
     small, large = (_simulate_peak(spec, reps, workers=1) for reps in (8192, 16384))
