@@ -52,7 +52,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-RHO_GRID = tuple(i / 5.0 - 1.0 for i in range(11))  # -1.0, -0.8, ..., 1.0
+RHO_GRID = tuple(i / 5.0 for i in range(-5, 6))  # -1.0, -0.8, ..., 1.0, each the nearest double
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +260,7 @@ def _format_table(table: RhoSweepTable) -> Iterator[str]:
     yield f"{'rho':>6}  {'mean_vn':>14}  {'se_vn':>12}  {'expected':>14}  source\n"
     for row in table.rows:
         se = f"{row.se_vn:.6e}" if row.se_vn is not None else "-"
-        yield (f"{row.rho:>6.1f}  {row.mean_vn:>14.6e}  {se:>12}  "
+        yield (f"{row.rho!r:>6}  {row.mean_vn:>14.6e}  {se:>12}  "
                f"{row.expected:>14.6e}  {row.source}\n")
 
 

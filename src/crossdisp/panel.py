@@ -136,6 +136,8 @@ class PerformancePanel:
                 raise ValueError("the reference-date row must be identically 1")
 
     def date_index(self, when: dt.date) -> int:
+        if when < self.ref_date:
+            raise DataError(f"date {when} is before the reference date {self.ref_date}")
         try:
             return self.dates.index(when)
         except ValueError:
@@ -151,10 +153,11 @@ def normalize_panel(
     panel: PricePanel,
     ref_date: dt.date,
     policy: str = DROP_AT_REF,
-    min_stocks: int = 2,
 ) -> PerformancePanel:
     """Divide every price path by its price on ``ref_date``. A ratio that
-    underflows to 0 or overflows to infinity raises DataError.
+    underflows to 0 or overflows to infinity raises DataError, and fewer
+    than the 2 surviving stocks the cross-sectional statistics need raise
+    TooFewStocks.
 
     Parameters
     ----------
@@ -167,9 +170,6 @@ def normalize_panel(
         present price on the reference date and treats later missing
         prices as per-date gaps. ``complete-only`` keeps only stocks
         priced on every date from the reference date onward.
-    min_stocks:
-        Minimum number of surviving stocks. The cross-sectional
-        statistics need 2; pass 1 to waive this in single-series use.
     """
     if policy not in MISSING_DATA_POLICIES:
         raise ValueError(f"unknown missing-data policy: {policy!r}")
@@ -179,8 +179,8 @@ def normalize_panel(
     if policy == COMPLETE_ONLY:
         keep &= np.isfinite(panel.prices[row:]).all(axis=0)
     n_kept = int(keep.sum())
-    if n_kept < min_stocks:
-        raise TooFewStocks(n_kept, min_stocks)
+    if n_kept < 2:
+        raise TooFewStocks(n_kept, 2)
     with np.errstate(over="ignore"):
         values = panel.prices[row:, keep] / ref_prices[keep]
     tickers = tuple(t for t, ok in zip(panel.tickers, keep) if ok)

@@ -7,41 +7,39 @@ draws are therefore a pure function of the seed and its own index, so
 results are bit-identical no matter how many workers execute the blocks
 or in which order they finish.
 
-Inside a block, the stream is walked in chunks of rows holding about
-CHUNK_BYTES of draws; each chunk is drawn, transformed and reduced to
-its dispersions before the next is drawn. numpy fills normals in stream
-order, so consecutive chunk draws equal one whole-block draw bit for bit:
-the one-factor path gives the same values as drawing the block at once,
-and a row-chunked ``z @ root`` may differ from it only in the last bits.
-Each block refills one draw buffer and one sample buffer in place, so
-memory is about three chunks per worker (draws, samples and the variance
-step's deviations) plus 8 bytes per replication, and the n x n square
-root on the general path, whatever the replication count. Reusing the
-buffers also keeps the allocator from handing pages back to the system
-and faulting them in again on every chunk.
+Inside a block, the stream is walked in chunks of rows of n draws
+holding about CHUNK_BYTES; each chunk is drawn, transformed and reduced
+to its dispersions before the next is drawn. numpy fills normals in
+stream order, so consecutive chunk draws equal one whole-block draw bit
+for bit: equicorrelation gives the same values as drawing the block at
+once, and a row-chunked ``z @ root`` may differ from it only in the last
+bits. Each block refills one draw buffer in place, which also keeps the
+allocator from handing pages back and faulting them in again on every
+chunk. Memory is about two chunks per worker (draws and the variance
+step's deviations; a full matrix adds its samples and its n x n square
+root) plus 8 bytes per replication, whatever the replication count.
 
-Sampling honors the declared correlation structure exactly. Nonnegative
-equicorrelation uses the one-factor construction
+Sampling honors the declared correlation structure exactly. An
+equicorrelation matrix R has the closed-form symmetric square root
 
-    X_i = m_i + sigma_i (sqrt(rho) Z + sqrt(1 - rho) eps_i),
+    R^(1/2) = sqrt(1 - rho) I + b J,  b = rho / (sqrt(1 + (n - 1) rho) + sqrt(1 - rho)),
 
-anything else goes through a symmetric square root of the covariance
-matrix. Infeasible structures (smallest correlation eigenvalue below
--1e-10) are rejected before any sampling happens.
+at every feasible rho, so its cross-sections are formed in place, in
+O(n) per row, as X_i = m_i + sigma_i (sqrt(1 - rho) z_i + b sum_j z_j).
+A full matrix goes through an eigendecomposition of its covariance.
+Infeasible structures (smallest correlation eigenvalue below -1e-10) are
+rejected before any sampling happens.
 
-A homogeneous universe (nonnegative equicorrelation with one sigma and
-one mean, which is what the CLI and ``variance_decay_study`` build) is
-never turned into cross-sections. Its common term m + sigma sqrt(rho) Z
-is the same for every stock and cancels in the variance:
+A homogeneous universe (equicorrelation with one sigma and one mean,
+which is what the CLI and ``variance_decay_study`` build) is never
+turned into cross-sections. Its common term m + sigma b sum_j z_j is the
+same for every stock and cancels in the variance:
 
-    V_N = (1 - rho) sigma^2 Var_i(eps_i).
+    V_N = (1 - rho) sigma^2 Var_i(z_i).
 
-So each chunk's idiosyncratic draws are reduced straight from the draw
-buffer, and the values are scaled by (1 - rho) sigma^2 once all blocks
-are done. Rows still hold n + 1 draws, so every replication reads the
-same stream as on the one-factor path, and the values agree with the
-cross-section's to rounding. This path holds two chunks per worker, the
-draws and the variance step's deviations. A zero scale (rho = 1, or a
+So each chunk's draws are reduced straight from the draw buffer, and the
+values are scaled by (1 - rho) sigma^2 once all blocks are done; they
+agree with the cross-section's to rounding. A zero scale (rho = 1, or a
 scale that underflows) gives exact zeros and draws nothing.
 """
 
@@ -133,34 +131,42 @@ def _symmetric_sqrt(spec: CorrelationSpec, tol: float = FEASIBILITY_TOL) -> Floa
 
 
 def _make_sampler(spec: CorrelationSpec):
-    """Build (draws_per_row, transform) where transform(z, out) writes the
-    correlated samples for a (rows, draws_per_row) standard-normal matrix z
-    into the (rows, n) matrix out and returns it."""
+    """Build transform(z), which turns a (rows, n) standard-normal matrix z
+    into correlated samples. Equicorrelation overwrites z in place and
+    returns it; a full matrix returns a new matrix."""
     means = spec.means
     sigmas = spec.sigmas
     structure = spec.structure
-    if isinstance(structure, Equicorrelation) and structure.rho >= 0.0:
-        w_common = math.sqrt(structure.rho)
-        w_idio = math.sqrt(1.0 - structure.rho)
+    if isinstance(structure, Equicorrelation):
+        report = validate_feasibility(spec)
+        if not report.feasible:
+            raise NotPSD(report.detail)
+        rho = structure.rho
+        # R^(1/2) = w I + b J: R has eigenvalue 1 - rho, and 1 + (n - 1) rho
+        # along the all-ones direction
+        w = math.sqrt(1.0 - rho)
+        b = rho / (math.sqrt(max(0.0, 1.0 + (spec.n - 1) * rho)) + w)
 
-        def one_factor(z: FloatArray, out: FloatArray) -> FloatArray:
-            # m + sigma (w_common Z + w_idio eps) in place, rounded as the plain formula is
-            np.multiply(z[:, 1:], w_idio, out=out)
-            out += w_common * z[:, :1]
-            out *= sigmas
-            out += means
-            return out
+        def equicorrelated(z: FloatArray) -> FloatArray:
+            # m + sigma (w z + b sum(z)), rounded as the plain formula is
+            common = z.sum(axis=1, keepdims=True)
+            common *= b
+            z *= w
+            z += common
+            z *= sigmas
+            z += means
+            return z
 
-        return spec.n + 1, one_factor
+        return equicorrelated
 
     root = _symmetric_sqrt(spec)
 
-    def general(z: FloatArray, out: FloatArray) -> FloatArray:
-        np.matmul(z, root, out=out)
-        out += means
-        return out
+    def general(z: FloatArray) -> FloatArray:
+        x = z @ root
+        x += means
+        return x
 
-    return spec.n, general
+    return general
 
 
 def sample_gaussian_vector(spec: CorrelationSpec, rng: np.random.Generator) -> FloatArray:
@@ -172,8 +178,7 @@ def sample_gaussian_matrix(
     spec: CorrelationSpec, rng: np.random.Generator, rows: int
 ) -> FloatArray:
     """Stack of ``rows`` independent cross-sections, one per row."""
-    draws, transform = _make_sampler(spec)
-    return transform(rng.standard_normal((rows, draws)), np.empty((rows, spec.n)))
+    return _make_sampler(spec)(rng.standard_normal((rows, spec.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +192,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _idiosyncratic_scale(spec: CorrelationSpec) -> float | None:
-    """(1 - rho) sigma^2 for a homogeneous one-factor spec, else None.
+    """(1 - rho) sigma^2 for a homogeneous equicorrelated spec, else None.
 
     It overflows to inf rather than raising, so an out-of-range dispersion
     ends in the NumericalError of ``simulate_dispersion``.
     """
     structure = spec.structure
-    if not (isinstance(structure, Equicorrelation) and structure.rho >= 0.0):
+    if not isinstance(structure, Equicorrelation):
         return None
     sigma, mean = spec.sigmas[0], spec.means[0]
     if np.any(spec.sigmas != sigma) or np.any(spec.means != mean):
@@ -211,9 +216,9 @@ def simulate_dispersion(
 
     Draws ``config.reps`` independent cross-sections and computes the
     population variance of each via the panel module; a homogeneous
-    one-factor spec reduces only its idiosyncratic draws (module
-    docstring). The feasibility gate runs first and infeasible structures
-    raise NotPSD; fewer than two stocks raise TooFewStocks, and a mean or
+    equicorrelated spec reduces its draws directly (module docstring).
+    The feasibility gate runs first and infeasible structures raise
+    NotPSD; fewer than two stocks raise TooFewStocks, and a mean or
     variance outside the range of a double raises NumericalError.
     ``workers`` only sets how many threads execute the replication
     blocks; it never changes the result.
@@ -227,11 +232,8 @@ def simulate_dispersion(
     if spec.n < 2:
         raise TooFewStocks(spec.n, 2)
     scale = _idiosyncratic_scale(spec)
-    if scale is None:
-        draws, transform = _make_sampler(spec)
-    else:
-        draws, transform = spec.n + 1, None
-    rows = max(1, CHUNK_BYTES // (8 * draws))
+    transform = _make_sampler(spec) if scale is None else None
+    rows = max(1, CHUNK_BYTES // (8 * spec.n))
     reps = config.reps
     values = np.empty(reps, dtype=np.float64)
 
@@ -239,15 +241,12 @@ def simulate_dispersion(
         start = block * REPLICATION_BLOCK
         stop = min(start + REPLICATION_BLOCK, reps)
         rng = _block_rng(config.seed, block)
-        # one draw buffer per block, and one sample buffer on the cross-section
-        # paths, refilled chunk by chunk
-        z = np.empty((min(rows, stop - start), draws))
-        x = None if transform is None else np.empty((len(z), spec.n))
+        z = np.empty((min(rows, stop - start), spec.n))  # refilled chunk by chunk
         with np.errstate(over="ignore", invalid="ignore"):  # checked once all blocks are done
             for lo in range(start, stop, rows):
                 size = min(rows, stop - lo)
                 rng.standard_normal(out=z[:size])
-                chunk = z[:size, 1:] if transform is None else transform(z[:size], x[:size])
+                chunk = z[:size] if transform is None else transform(z[:size])
                 values[lo:lo + size] = dispersion_values(chunk)
 
     n_blocks = (reps + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK

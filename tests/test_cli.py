@@ -251,6 +251,16 @@ def test_survival_at_reference_date_is_single_step(small_csv, capsys):
     assert lines == ["z,survival", "1.0,0.0"]
 
 
+def test_survival_date_before_reference_date_names_both(small_csv, capsys):
+    # 2020-01-02 is in the panel, but not in the performance panel from 2020-01-03
+    code = main(["survival", small_csv, "--tref", "2020-01-03", "--date", "2020-01-02"])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "crossdisp: date 2020-01-02 is before the reference date 2020-01-03\n")
+
+
 def test_survival_hill_sweep_file(wide_csv, tmp_path, capsys):
     sweep_path = tmp_path / "hill.csv"
     code = main(["survival", wide_csv, "--tref", "2020-01-02", "--date", "2020-01-05",
@@ -569,6 +579,31 @@ def test_simulate_table_out_csv(tmp_path):
     assert lines[0] == "rho,mean_vn,se_vn,expected,source"
     assert len(lines) == 12
     assert all(row.endswith("analytic") for row in lines[1:])
+
+
+def test_simulate_table_out_csv_rho_column_is_the_decimal_grid(tmp_path):
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--table", "rho-sweep", "--n", "20", "--m-reps", "10",
+                 "--out", str(out), "--format", "csv"]) == EXIT_OK
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "-1.0", "-0.8", "-0.6", "-0.4", "-0.2", "0.0", "0.2", "0.4", "0.6", "0.8", "1.0"]
+
+
+@pytest.mark.parametrize("rho, printed", [("0.25", "0.25"), ("-0.0001", "-0.0001"),
+                                          ("1e-05", "1e-05")])
+def test_simulate_stdout_prints_rho_as_given(rho, printed, capsys):
+    assert main(["simulate", "--n", "20", "--rho", rho, "--analytic-only"]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row.split()[0] == printed
+    assert row.startswith(f"{printed:>6}  ")
+
+
+def test_simulate_stdout_grid_rows_keep_their_width(capsys):
+    assert main(["simulate", "--table", "rho-sweep", "--n", "20",
+                 "--analytic-only"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row[:8] for row in rows] == [f"{rho:>6.1f}  " for rho in RHO_GRID]
 
 
 def test_simulate_deterministic_stdout(capsys):

@@ -95,12 +95,19 @@ def test_seed_must_be_uint64():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_covariance_matches_spec():
-    spec = CorrelationSpec.with_matrix(
-        np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.1], [-0.2, 0.1, 1.0]]),
-        sigmas=[1.0, 2.0, 0.5],
-        means=[0.0, 1.0, -1.0],
-    )
+_SIGMAS, _MEANS = [1.0, 2.0, 0.5], [0.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("structure", [
+    FullMatrix(np.array([[1.0, 0.5, -0.2], [0.5, 1.0, 0.1], [-0.2, 0.1, 1.0]])),
+    Equicorrelation(-0.5),  # the bound -1/(n-1): every cross-section sums to a constant
+    Equicorrelation(-0.3),
+    Equicorrelation(0.0),
+    Equicorrelation(0.6),
+    Equicorrelation(1.0),
+], ids=["full", "equi--0.5", "equi--0.3", "equi-0.0", "equi-0.6", "equi-1.0"])
+def test_sample_covariance_matches_spec(structure):
+    spec = CorrelationSpec(n=3, means=_MEANS, sigmas=_SIGMAS, structure=structure)
     rng = np.random.default_rng(202)
     rows = 100_000
     x = sample_gaussian_matrix(spec, rng, rows)
@@ -259,15 +266,16 @@ def _whole_block_per_rep(config):
     """Per-replication values as the unchunked sampler computed them: each
     block's normals drawn in one standard_normal call and transformed at once."""
     spec = config.spec
-    if isinstance(spec.structure, Equicorrelation) and spec.structure.rho >= 0.0:
+    if isinstance(spec.structure, Equicorrelation):
         rho = spec.structure.rho
-        draws = spec.n + 1
+        w = math.sqrt(1.0 - rho)
+        b = rho / (math.sqrt(max(0.0, 1.0 + (spec.n - 1) * rho)) + w)
 
         def transform(z):
-            mixed = math.sqrt(rho) * z[:, :1] + math.sqrt(1.0 - rho) * z[:, 1:]
+            mixed = w * z + b * z.sum(axis=1, keepdims=True)
             return spec.means + spec.sigmas * mixed
     else:
-        draws, root = spec.n, simulate_module._symmetric_sqrt(spec)
+        root = simulate_module._symmetric_sqrt(spec)
 
         def transform(z):
             return spec.means + z @ root
@@ -276,7 +284,7 @@ def _whole_block_per_rep(config):
     for start in range(0, config.reps, REPLICATION_BLOCK):
         stop = min(start + REPLICATION_BLOCK, config.reps)
         rng = simulate_module._block_rng(config.seed, start // REPLICATION_BLOCK)
-        z = rng.standard_normal((stop - start, draws))
+        z = rng.standard_normal((stop - start, spec.n))
         values[start:stop] = dispersion_values(transform(z))
     return values
 
@@ -285,7 +293,7 @@ def _chunk_rows(draws):
     return max(1, CHUNK_BYTES // (8 * draws))
 
 
-_ONE_ROW_N = CHUNK_BYTES // 16  # one-factor draws are n + 1: from here a chunk is one row
+_ONE_ROW_N = CHUNK_BYTES // 16 + 1  # rows hold n draws: from here a chunk is one row
 _DRAW_BUDGET = 2**21  # normals per example, which keeps the reference's block small
 
 
@@ -307,14 +315,17 @@ def _spread_spec(n, structure, spec_seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, _ONE_ROW_N), boundary=_BOUNDARIES, rho=st.floats(0.0, 1.0),
+@given(n=st.integers(2, _ONE_ROW_N), boundary=_BOUNDARIES, rho=st.floats(-1.0, 1.0),
        seed=st.integers(0, 2**64 - 1), spec_seed=st.integers(0, 2**32 - 1))
 @example(n=_ONE_ROW_N, boundary="chunk+1", rho=0.5, seed=1, spec_seed=1)
 @example(n=1000, boundary="block+1", rho=0.3, seed=2, spec_seed=2)
+@example(n=7, boundary="chunk+1", rho=-1.0, seed=3, spec_seed=3)
 def test_chunked_one_factor_path_equals_whole_blocks(n, boundary, rho, seed, spec_seed):
-    assert _chunk_rows(_ONE_ROW_N + 1) == 1
-    spec = _spread_spec(n, Equicorrelation(rho), spec_seed)
-    config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n + 1), seed=seed)
+    # every equicorrelation with differing sigmas and means; rho below the
+    # bound -1/(n-1) is moved onto it
+    assert _chunk_rows(_ONE_ROW_N) == 1 < _chunk_rows(_ONE_ROW_N - 1)
+    spec = _spread_spec(n, Equicorrelation(max(rho, -1.0 / (n - 1))), spec_seed)
+    config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n), seed=seed)
     reference = _whole_block_per_rep(config)
     for workers in (1, 2):
         chunked = simulate_dispersion(config, workers=workers, keep_per_rep=True)
@@ -322,19 +333,22 @@ def test_chunked_one_factor_path_equals_whole_blocks(n, boundary, rho, seed, spe
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, _ONE_ROW_N), boundary=_BOUNDARIES, rho=st.floats(0.0, 0.99),
+@given(n=st.integers(2, _ONE_ROW_N), boundary=_BOUNDARIES, rho=st.floats(-1.0, 0.99),
        sigma=st.floats(0.25, 4.0), mean=st.floats(-5.0, 5.0), seed=st.integers(0, 2**64 - 1))
 @example(n=_ONE_ROW_N, boundary="chunk+1", rho=0.5, sigma=0.5, mean=-2.0, seed=1)
 @example(n=1000, boundary="block+1", rho=0.3, sigma=1.5, mean=0.7, seed=2)
 @example(n=2, boundary="chunk-1", rho=0.99, sigma=0.25, mean=5.0, seed=3)
+@example(n=9, boundary="chunk+1", rho=-1.0, sigma=2.0, mean=-1.0, seed=4)
 def test_homogeneous_path_matches_the_cross_sections(n, boundary, rho, sigma, mean, seed):
-    # one sigma and one mean: the values come from the idiosyncratic draws
-    # alone, scaled by (1 - rho) sigma^2, and the reference builds every
-    # cross-section. Its rounding grows with |mean| / sigma and 1 / sqrt(1 - rho)
-    # and is not relative to each value (in a small universe two draws can
-    # nearly coincide), so the gap is measured against the scale of V_N.
+    # one sigma and one mean: the values come from the draws alone, scaled by
+    # (1 - rho) sigma^2, and the reference builds every cross-section. Its
+    # rounding grows with |mean| / sigma and 1 / sqrt(1 - rho) and is not
+    # relative to each value (in a small universe two draws can nearly
+    # coincide), so the gap is measured against the scale of V_N. rho below
+    # the bound -1/(n-1) is moved onto it.
+    rho = max(rho, -1.0 / (n - 1))
     spec = CorrelationSpec.equicorrelated(n, rho, sigma, mean)
-    config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n + 1), seed=seed)
+    config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n), seed=seed)
     reference = _whole_block_per_rep(config)
     serial = simulate_dispersion(config, workers=1, keep_per_rep=True)
     threaded = simulate_dispersion(config, workers=2, keep_per_rep=True)
@@ -364,11 +378,8 @@ def test_one_stock_has_no_dispersion_to_simulate():
             simulate_dispersion(config)
 
 
-@st.composite
-def _general_structures(draw, n):
-    if draw(st.booleans()):
-        return Equicorrelation(draw(st.floats(-1.0 / (n - 1), -1e-3)))
-    factors = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, 3))
+def _full_matrix(n, matrix_seed):
+    factors = np.random.default_rng(matrix_seed).normal(size=(n, 3))
     cov = factors @ factors.T + np.diag(np.full(n, 0.5))
     scale = 1.0 / np.sqrt(np.diag(cov))
     corr = np.clip(cov * scale[:, None] * scale[None, :], -1.0, 1.0)
@@ -378,18 +389,67 @@ def _general_structures(draw, n):
 
 
 @settings(max_examples=20, deadline=None)
-@given(data=st.data(), n=st.integers(2, 120), boundary=_BOUNDARIES,
-       seed=st.integers(0, 2**64 - 1), spec_seed=st.integers(0, 2**32 - 1))
-def test_chunked_general_path_matches_whole_blocks_to_rounding(data, n, boundary, seed,
-                                                                spec_seed):
-    # a row-chunked z @ root may round differently in the last bits
-    spec = _spread_spec(n, data.draw(_general_structures(n)), spec_seed)
+@given(n=st.integers(2, 120), boundary=_BOUNDARIES, seed=st.integers(0, 2**64 - 1),
+       spec_seed=st.integers(0, 2**32 - 1), matrix_seed=st.integers(0, 2**32 - 1))
+def test_chunked_general_path_matches_whole_blocks_to_rounding(n, boundary, seed, spec_seed,
+                                                                matrix_seed):
+    # a full matrix: a row-chunked z @ root may round differently in the last bits
+    spec = _spread_spec(n, _full_matrix(n, matrix_seed), spec_seed)
     config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n), seed=seed)
     reference = _whole_block_per_rep(config)
     serial = simulate_dispersion(config, workers=1, keep_per_rep=True)
     threaded = simulate_dispersion(config, workers=2, keep_per_rep=True)
     assert np.array_equal(serial.per_rep, threaded.per_rep)
     assert np.max(np.abs(serial.per_rep - reference) / reference) <= 1e-13
+
+
+def _quadratic_form_cumulants(spec):
+    """Var[V] and the fourth cumulant of V = x^T A x, x ~ N(m, Sigma), A = (I - J/n)/n:
+    kappa_r = 2^(r-1) (r-1)! (tr((A Sigma)^r) + r m^T (A Sigma)^(r-1) A m)."""
+    n, m = spec.n, spec.means
+    a = (np.eye(n) - np.full((n, n), 1.0 / n)) / n
+    a_sigma = a @ spec.covariance_matrix()
+    a_sigma_2 = a_sigma @ a_sigma
+    kappa2 = 2 * np.trace(a_sigma_2) + 4 * m @ a_sigma @ a @ m
+    kappa4 = 48 * np.trace(a_sigma_2 @ a_sigma_2) + 192 * m @ a_sigma_2 @ a_sigma @ a @ m
+    return float(kappa2), float(kappa4)
+
+
+@pytest.mark.parametrize("structure", [
+    Equicorrelation(-1.0 / 29), Equicorrelation(-0.02), Equicorrelation(0.0),
+    Equicorrelation(0.4), _full_matrix(30, 5),
+], ids=["equi-bound", "equi--0.02", "equi-0.0", "equi-0.4", "full"])
+def test_simulated_variance_matches_the_exact_law_for_any_spec(structure):
+    # Var[V] = 2 tr((A Sigma)^2) + 4 m^T A Sigma A m, with differing sigmas and means
+    reps = 20000
+    spec = _spread_spec(30, structure, 17)
+    res = simulate_dispersion(SimConfig(spec=spec, reps=reps, seed=20261019))
+    exact, kappa4 = _quadratic_form_cumulants(spec)
+    assert abs(res.mean_vn - expected_dispersion(spec)) < 5.0 * res.se_vn
+    mu4 = kappa4 + 3 * exact**2
+    se = math.sqrt((mu4 - exact**2 * (reps - 3) / (reps - 1)) / reps)
+    assert abs(res.var_vn - exact) < 5.0 * se
+
+
+def test_homogeneous_law_is_the_quadratic_form_law():
+    spec = CorrelationSpec.equicorrelated(12, -0.05, 1.5, mean=2.0)
+    exact, _ = _quadratic_form_cumulants(spec)
+    assert exact == pytest.approx(equicorrelation_dispersion_variance(12, -0.05, 1.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("many_sigmas", [False, True], ids=["one-sigma", "many-sigmas"])
+def test_equicorrelation_needs_no_eigendecomposition(many_sigmas, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("equicorrelation has a closed-form square root")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    n = 8
+    for rho in (-1.0 / (n - 1), -0.1, 0.0, 0.5, 1.0):
+        spec = (_spread_spec(n, Equicorrelation(rho), 6) if many_sigmas
+                else CorrelationSpec.equicorrelated(n, rho, 2.0, mean=1.0))
+        config = SimConfig(spec=spec, reps=REPLICATION_BLOCK + 1, seed=9)
+        assert math.isfinite(simulate_dispersion(config, workers=2).mean_vn)
+        assert sample_gaussian_matrix(spec, np.random.default_rng(9), 10).shape == (10, n)
 
 
 def _simulate_peak(spec, reps, workers):
