@@ -30,6 +30,7 @@ from .io import (
     RhoSweepTable,
     _sweep_entry,
     _write_text,
+    _ymd,
     first_trading_day_per_year,
     load_price_panel,
     render_chunks,
@@ -65,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _iso_date(text: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        return _ymd(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an ISO date: {text!r}") from None
 
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--window", type=_window, default=20,
                          help="half-width for extreme detection on the tail series")
     analyze.add_argument("--policy", choices=MISSING_DATA_POLICIES, default=DROP_AT_REF)
-    analyze.add_argument("--out", help="output path (default: JSON to stdout)")
+    analyze.add_argument("--out", help="output path (default: stdout, JSON only)")
     analyze.add_argument("--format", choices=("csv", "json"), default="json")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the first trading day of each year, e.g. 1998-2008")
     sweep.add_argument("--k-fraction", type=_k_fraction, default=0.10)
     sweep.add_argument("--policy", choices=MISSING_DATA_POLICIES, default=DROP_AT_REF)
-    sweep.add_argument("--out", help="output path (default: JSON to stdout)")
+    sweep.add_argument("--out", help="output path (default: stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default="json")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -186,12 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _emit(report: object, args: argparse.Namespace, stdout_fmt: str) -> int:
-    """Write ``report`` to --out in --format, or else to stdout in ``stdout_fmt``."""
+def _emit(report: object, args: argparse.Namespace) -> int:
+    """Write ``report`` in --format to --out, or else to stdout."""
     if args.out:
         write_report(report, args.out, fmt=args.format)
     else:
-        _write_text(None, render_chunks(report, fmt=stdout_fmt))
+        _write_text(None, render_chunks(report, fmt=args.format))
     return EXIT_OK
 
 
@@ -203,7 +204,7 @@ def analyze_panel(
     # tref_sweep's normalize / dispersion / tail step; detect_extremes is called
     # in this module's namespace, where the benchmark tracer (bench/tracer.py) wraps it
     entry = _sweep_entry(panel, ref_date, policy, k_policy)
-    events = detect_extremes(entry.tails.alphas(), window, dates=entry.tails.dates)
+    events = detect_extremes(entry.tails.alpha, window, dates=entry.tails.dates)
     return AnalysisReport(
         ref_date=ref_date,
         dispersion=entry.dispersion,
@@ -218,7 +219,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     panel = load_price_panel(args.panel)
     report = analyze_panel(panel, args.tref, args.policy,
                            KPolicy(fraction=args.k_fraction), args.window)
-    return _emit(report, args, stdout_fmt="json")
+    return _emit(report, args)
 
 
 def cmd_survival(args: argparse.Namespace) -> int:
@@ -230,7 +231,7 @@ def cmd_survival(args: argparse.Namespace) -> int:
         # written first, so an unwritable path fails before any output;
         # the estimates are freed before the survival report is rendered
         write_report(HillSweep(tuple(hill_k_sweep(xs))), args.hill_sweep, fmt="csv")
-    return _emit(curve, args, stdout_fmt=args.format)
+    return _emit(curve, args)
 
 
 def _one_rho_row(
@@ -287,13 +288,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     refs = args.trefs if args.trefs else first_trading_day_per_year(panel, args.years)
     result = tref_sweep(panel, refs, policy=args.policy,
                         k_policy=KPolicy(fraction=args.k_fraction))
-    return _emit(result, args, stdout_fmt="json")
+    return _emit(result, args)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "analyze" and args.format == "csv" and not args.out:
+            parser.error("analyze --format csv writes one file per table: give --out")
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

@@ -1,8 +1,8 @@
 """CSV ingestion of price panels, reference-date sweeps, and CSV/JSON reports.
 
 Input contract (CSV, UTF-8, optionally starting with a byte-order mark):
-header row ``date,<ticker1>,<ticker2>,...``, one row per date with an
-ISO-8601 date and decimal prices. An empty cell is a missing price.
+header row ``date,<ticker1>,<ticker2>,...``, one row per date with a
+``YYYY-MM-DD`` date and decimal prices. An empty cell is a missing price.
 Duplicate dates, non-positive prices and anything unparsable are
 rejected with the offending line and column (1-based). Rows may arrive
 in any order; the panel is sorted by date after loading.
@@ -15,7 +15,9 @@ the file text or the heap's layout. Non-UTF-8 bytes and text the csv
 module cannot split (such as an oversized field) raise a DataError.
 
 ``tref_sweep`` runs the normalize / dispersion / tail step of the
-analyze pipeline (``cli.analyze_panel``) once per reference date.
+analyze pipeline (``cli.analyze_panel``) once per reference date. The
+dispersion and tail tables are formatted from their series' columns
+(a tail gap has empty alpha, k, n and method cells).
 
 Every report maps to a ``meta`` block and named tables of rows, which
 both formats render. JSON documents are a top-level object with the
@@ -70,6 +72,7 @@ from .panel import (
 )
 from .simulate import SimResult
 from .tails import (
+    HILL,
     ExtremeEvent,
     KPolicy,
     TailEstimate,
@@ -98,6 +101,11 @@ def _parse_price(cell: str, line: int, column: int) -> float:
     if value <= 0.0:
         raise NonPositivePrice(line, column, value)
     return value
+
+
+def _ymd(text: str) -> dt.date:
+    """A YYYY-MM-DD date; from Python 3.11 on, fromisoformat alone also takes 20040102."""
+    return dt.date.fromisoformat(text if len(text) == 10 and text[4] + text[7] == "--" else "")
 
 
 def _parse_prices(cells: list[str], line: int) -> FloatArray:
@@ -170,7 +178,7 @@ def _read_panel(
                 line_no, 1, f"expected {len(header)} cells, found {len(row)}"
             )
         try:
-            when = dt.date.fromisoformat(row[0].strip())
+            when = _ymd(row[0].strip())
         except ValueError:
             raise ParseError(line_no, 1, f"bad date: {row[0]!r}") from None
         if when in seen:
@@ -393,11 +401,8 @@ def _dispersion_table(series: DispersionSeries, iso_dates: list[str]) -> _Table:
 def _tail_table(series: TailSeries, iso_dates: list[str]) -> _Table:
     return _Table(
         ("date", "alpha", "k", "n", "method"),
-        (
-            (when, None, None, None, None) if est is None
-            else (when, _jf(est.alpha), est.k, est.n, est.method)
-            for when, est in zip(iso_dates, series.estimates)
-        ),
+        zip(iso_dates, _jf_all(series.alpha),
+            *(np.where(series.k == 0, None, c).tolist() for c in (series.k, series.n, HILL))),
     )
 
 

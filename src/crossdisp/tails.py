@@ -3,8 +3,10 @@
 Two estimators of the upper-tail Pareto exponent are provided: the Hill
 estimator on the k largest order statistics, and a least-squares fit of
 the log survival function against the log threshold. Both are meant for
-per-date cross-sections of performance ratios; `tail_series` sweeps one
-of them across a whole performance panel.
+per-date cross-sections of performance ratios. `tail_series` applies the
+Hill estimator to every date of a performance panel at once and returns
+a `TailSeries` of columns (alpha, k and n, one value per date; a gap has
+alpha NaN and k 0), with no object per date.
 
 All Hill sums come from one kernel, `_hill_sums`. On a sample sorted in
 descending order it forms the sum of log(x_(i) / x_(k+1)) over i = 1..k
@@ -257,33 +259,40 @@ class KPolicy:
         if self.min_n < 2:
             raise ValueError("min_n must be at least 2")
 
-    def k_for(self, n: int) -> int | None:
-        """k for a cross-section of size n, or None when n is too small."""
-        if n < self.min_n:
-            return None
-        return min(max(math.ceil(self.fraction * n), 1), n - 1)
+    def k_for(self, n: npt.ArrayLike) -> npt.NDArray[np.intp]:
+        """k for cross-sections of sizes ``n``, 0 where a size is below ``min_n``."""
+        n = np.asarray(n, dtype=np.intp)
+        k = np.minimum(np.maximum(np.ceil(self.fraction * n).astype(np.intp), 1), n - 1)
+        return np.where(n < self.min_n, 0, k)
 
 
 @dataclass(frozen=True)
 class TailSeries:
-    """Per-date tail estimates; None marks a date with no usable estimate."""
+    """Per-date Hill estimates as columns, one value per date: exponent ``alpha``, order
+    statistics used ``k``, cross-section size ``n``. A gap has alpha NaN and k 0."""
 
     dates: tuple[dt.date, ...]
-    estimates: tuple[TailEstimate | None, ...]
+    alpha: FloatArray
+    k: npt.NDArray[np.intp]
+    n: npt.NDArray[np.intp]
     k_policy: KPolicy = field(default_factory=KPolicy)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "estimates", tuple(self.estimates))
-        if len(self.dates) != len(self.estimates):
-            raise ValueError("one estimate slot per date required")
+        for name, dtype in (("alpha", np.float64), ("k", np.intp), ("n", np.intp)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+            getattr(self, name).setflags(write=False)
+        if not self.alpha.shape == self.k.shape == self.n.shape == (len(self.dates),):
+            raise ValueError("one alpha, k and n per date required")
+        estimate = (0 < self.k) & (self.k < self.n) & (0.0 < self.alpha) & (self.alpha < np.inf)
+        if not np.all(np.where(self.k == 0, np.isnan(self.alpha), estimate)):
+            raise ValueError("need 0 < k < n and a finite alpha > 0, or k = 0 and alpha NaN")
 
-    def alphas(self) -> FloatArray:
-        """Exponent per date, NaN at gaps."""
-        return np.array(
-            [e.alpha if e is not None else np.nan for e in self.estimates],
-            dtype=np.float64,
-        )
+    @property
+    def estimates(self) -> tuple[TailEstimate | None, ...]:
+        """One TailEstimate per date, None at a gap, built on demand."""
+        columns = zip(self.alpha.tolist(), self.k.tolist(), self.n.tolist())
+        return tuple(TailEstimate(a, k, n, HILL) if k else None for a, k, n in columns)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -313,17 +322,17 @@ def tail_series(perf: PerformancePanel, k_policy: KPolicy | None = None) -> Tail
     performances equal 1), yield gaps; the sweep never aborts.
     """
     policy = k_policy if k_policy is not None else KPolicy()
-    counts = np.isfinite(perf.values).sum(axis=1).tolist()
-    row_ks = [policy.k_for(n) for n in counts]
-    rows = np.array([i for i, k in enumerate(row_ks) if k is not None], dtype=np.intp)
-    estimates: list[TailEstimate | None] = [None] * len(counts)
+    n = np.isfinite(perf.values).sum(axis=1)
+    k = policy.k_for(n)
+    alpha = np.full(len(n), np.nan)
+    rows = np.flatnonzero(k)
     if rows.size:
-        ks = np.array([row_ks[i] for i in rows], dtype=np.intp)
-        top = _top_order_statistics(perf.values, rows, int(ks.max()) + 1)
-        sums = _hill_sums(top, ks)
-        for i, k, log_excess_sum in zip(rows.tolist(), ks.tolist(), sums.tolist()):
-            estimates[i] = _hill(log_excess_sum, k, counts[i])
-    return TailSeries(dates=perf.dates, estimates=tuple(estimates), k_policy=policy)
+        top = _top_order_statistics(perf.values, rows, int(k.max()) + 1)
+        sums = _hill_sums(top, k[rows])
+        spread = sums > 0.0  # a zero sum: the top k+1 values are tied
+        k[rows[~spread]] = 0
+        alpha[rows[spread]] = k[rows[spread]] / sums[spread]
+    return TailSeries(dates=perf.dates, alpha=alpha, k=k, n=n, k_policy=policy)
 
 
 # ---------------------------------------------------------------------------

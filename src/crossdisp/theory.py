@@ -210,7 +210,9 @@ def limit_dispersion(family: EquicorrelatedFamily | TermLimits) -> float:
 
     Supported families are the homogeneous equicorrelated universe, whose
     limit is (1 - rho) sigma^2, and explicit term limits. Anything else
-    raises NoLimit; no general sequence inference is attempted.
+    raises NoLimit; no general sequence inference is attempted. The limit
+    is algebraic: for rho < 0 the family is no correlation matrix once
+    n > 1 - 1/rho, so no feasible universe approaches (1 - rho) sigma^2.
     """
     if isinstance(family, EquicorrelatedFamily):
         return (1.0 - family.rho) * family.sigma * family.sigma
@@ -228,8 +230,11 @@ def limit_dispersion(family: EquicorrelatedFamily | TermLimits) -> float:
 
 
 def dispersion_bounds(n: int) -> tuple[float, float]:
-    """Range of the expected dispersion over all correlations, for m = 0,
-    sigma = 1: zero at full positive correlation, 2 - 2/n at rho = -1."""
+    """Algebraic range of the expected dispersion for m = 0, sigma = 1, over
+    unit-diagonal inputs with entries in [-1, 1]: zero at full positive
+    correlation, 2 - 2/n at rho = -1. For n > 2 no correlation matrix R
+    reaches the top: E[V] = 1 - 1'R1/n^2 and 1'R1 >= 0 when R is positive
+    semidefinite, so the feasible maximum is 1, at rho = -1/(n - 1)."""
     if n < 2:
         raise ValueError("bounds need a universe of at least 2 stocks")
     return 0.0, 2.0 - 2.0 / n

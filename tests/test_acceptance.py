@@ -262,7 +262,7 @@ def test_c10_synthetic_bubble_timeline():
         disp = dispersion_series(perf)
         peak = disp.dates[int(np.nanargmax(disp.variance))]
         tails = tail_series(perf, KPolicy())
-        events = detect_extremes(tails.alphas(), 20, dates=perf.dates)
+        events = detect_extremes(tails.alpha, 20, dates=perf.dates)
         minima = [
             e for e in events
             if e.kind == LOCAL_MINIMUM and boost_start <= e.date <= limit

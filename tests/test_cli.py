@@ -140,6 +140,32 @@ def test_exit_usage_out_of_range_argument(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [["analyze", "p.csv", "--tref"], ["sweep", "p.csv", "--trefs"]])
+@pytest.mark.parametrize("text", ["20200102", "2020-W01-4"])
+def test_dates_are_read_only_as_yyyy_mm_dd(argv, text, capsys):
+    # Python 3.11's date.fromisoformat reads both spellings, 3.10's neither
+    assert main([*argv, text]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f": not an ISO date: {text!r}\n")
+
+
+def test_analyze_csv_to_stdout_is_a_usage_error(small_csv, capsys):
+    # the CSV form of an analysis is one file per table
+    assert main(["analyze", small_csv, "--tref", "2020-01-02", "--format", "csv"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("crossdisp: error: ")
+
+
+def test_sweep_writes_its_format_to_stdout(wide_csv, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", wide_csv, "--trefs", "2020-01-02,2020-01-04", "--format", "csv"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("ref_date,date,mean,variance,count,alpha,k\n")
+    assert stdout == out.read_text(encoding="utf-8")
+
+
 def test_reversed_year_range_is_named(capsys):
     assert main(["sweep", "p.csv", "--years", "2000,2008-1998"]) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines()[-1].endswith(

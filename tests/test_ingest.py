@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import math
+import re
 import tracemalloc
 from io import StringIO
 from pathlib import Path
@@ -69,6 +70,8 @@ def reference_load_price_panel(path):
             raise ParseError(
                 line_no, 1, f"expected {len(header)} cells, found {len(row)}"
             )
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", row[0].strip()):
+            raise ParseError(line_no, 1, f"bad date: {row[0]!r}")
         try:
             when = dt.date.fromisoformat(row[0].strip())
         except ValueError:
@@ -104,7 +107,8 @@ def outcome(load, path):
 # ---------------------------------------------------------------------------
 
 DATES = [f"2020-01-{day:02d}" for day in range(2, 12)]
-BAD_DATES = ["", "x", "2020-02-30", "01/02/2020"]
+# Python 3.11's date.fromisoformat also reads 20200102 and 2020-W01-4
+BAD_DATES = ["", "x", "2020-02-30", "01/02/2020", "20200102", "2020-W01-4", "2020-1-02"]
 TOKENS = [
     "", " ", "  ", "nan", "NaN", "inf", "-inf", "1e400", "-1", "0", "-0",
     "x", "1_0", "+4", '"5"', " 7 ", '""', "1e-320", "2.5",
@@ -156,6 +160,15 @@ def test_each_token_matches_reference(token, tmp_path):
 def test_streamed_loader_matches_reference(text, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "generated.csv"
     path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
+
+
+@pytest.mark.parametrize("text", ["20200102", "2020-W01-4", "2020W014", " 2020-01-02 x"])
+def test_dates_are_read_only_as_yyyy_mm_dd(text, tmp_path):
+    path = tmp_path / "dates.csv"
+    path.write_text(f"date,A\n2020-01-01,1\n{text},2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line 3, column 1: bad date: {text!r}$"):
+        load_price_panel(path)
     assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
 
 

@@ -208,7 +208,7 @@ def test_sweep_single_ref_matches_manual_pipeline(tiny_panel):
     assert entry.dispersion.dates == manual_disp.dates
     assert np.array_equal(entry.dispersion.variance, manual_disp.variance, equal_nan=True)
     assert np.array_equal(entry.dispersion.mean, manual_disp.mean, equal_nan=True)
-    assert np.array_equal(entry.tails.alphas(), manual_tails.alphas(), equal_nan=True)
+    assert np.array_equal(entry.tails.alpha, manual_tails.alpha, equal_nan=True)
 
 
 def test_sweep_multiple_refs(tiny_panel):
@@ -238,7 +238,7 @@ def test_analyze_panel_is_the_hand_written_chain(gappy_panel, policy):
         ref_date=ref,
         dispersion=dispersion_series(perf),
         tails=tails,
-        extremes=tuple(detect_extremes(tails.alphas(), 1, dates=perf.dates)),
+        extremes=tuple(detect_extremes(tails.alpha, 1, dates=perf.dates)),
         policy=policy,
         window=1,
     )
@@ -283,7 +283,8 @@ def test_appending_dates_leaves_earlier_rows_unchanged(case):
     for name in ("mean", "variance", "count"):
         assert (getattr(short.dispersion, name).tobytes()
                 == getattr(full.dispersion, name)[:n].tobytes())
-    assert repr(short.tails.estimates) == repr(full.tails.estimates[:n])
+    for name in ("alpha", "k", "n"):
+        assert getattr(short.tails, name).tobytes() == getattr(full.tails, name)[:n].tobytes()
 
 
 # ---------------------------------------------------------------------------

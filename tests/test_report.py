@@ -203,7 +203,7 @@ def ref_to_csv(result):
     if isinstance(result, SweepResult):
         rows = []
         for entry in result.entries:
-            alphas = entry.tails.alphas()
+            alphas = entry.tails.alpha
             for i, when in enumerate(entry.dispersion.dates):
                 est = entry.tails.estimates[i]
                 rows.append([entry.ref_date, when, entry.dispersion.mean[i],
@@ -289,10 +289,19 @@ def tail_estimates(draw) -> TailEstimate:
 
 
 @st.composite
+def tail_columns(draw) -> tuple[float, int, int]:
+    """One date's alpha, k and n: a gap (any n), or an estimate with any k < n."""
+    if draw(st.booleans()):
+        return math.nan, 0, draw(st.integers(0, 10**6))
+    estimate = draw(tail_estimates())
+    return estimate.alpha, estimate.k, estimate.n
+
+
+@st.composite
 def tail_series_at(draw, start: dt.date, n: int) -> TailSeries:
-    estimates = draw(st.lists(st.one_of(st.none(), tail_estimates()), min_size=n, max_size=n))
-    return TailSeries(dates=dates_from(start, n), estimates=estimates,
-                      k_policy=draw(k_policies))
+    rows = draw(st.lists(tail_columns(), min_size=n, max_size=n))
+    return TailSeries(dates=dates_from(start, n), alpha=[r[0] for r in rows],
+                      k=[r[1] for r in rows], n=[r[2] for r in rows], k_policy=draw(k_policies))
 
 
 @st.composite
@@ -421,9 +430,8 @@ def test_multi_reference_sweep_is_covered():
     later = dt.date(2001, 4, 1)
     disp2 = DispersionSeries(dates=dates_from(later, 1), mean=np.array([2.5]),
                              variance=np.array([math.inf]), count=np.array([4]))
-    tails = TailSeries(dates=dates_from(START, 2),
-                       estimates=(None, TailEstimate(alpha=1.5, k=2, n=9, method=HILL)))
-    tails2 = TailSeries(dates=dates_from(later, 1), estimates=(None,))
+    tails = TailSeries(dates=dates_from(START, 2), alpha=[math.nan, 1.5], k=[0, 2], n=[0, 9])
+    tails2 = TailSeries(dates=dates_from(later, 1), alpha=[math.nan], k=[0], n=[0])
     sweep = SweepResult(entries=(SweepEntry(START, disp, tails), SweepEntry(later, disp2, tails2)),
                         universe=("A", "B", "C", "D"), policy="drop-at-ref", k_policy=KPolicy())
     assert render_report(sweep, "csv") == (
@@ -477,12 +485,12 @@ EMPTY_REPORTS = [
     [],
     (),
     DispersionSeries(dates=(), mean=np.array([]), variance=np.array([]), count=np.array([])),
-    TailSeries(dates=(), estimates=()),
+    TailSeries(dates=(), alpha=[], k=[], n=[]),
     AnalysisReport(
         ref_date=START,
         dispersion=DispersionSeries(dates=(START,), mean=np.array([math.nan]),
                                     variance=np.array([math.nan]), count=np.array([0])),
-        tails=TailSeries(dates=(START,), estimates=(None,)),
+        tails=TailSeries(dates=(START,), alpha=[math.nan], k=[0], n=[0]),
         extremes=(), policy="", window=1),
 ]
 
@@ -555,7 +563,7 @@ def test_each_date_of_a_reference_date_is_formatted_once(fmt, tmp_path):
     dates = tuple(CountingDate(2001, 3, day) for day in range(1, 6))
     disp = DispersionSeries(dates=dates, mean=np.ones(5), variance=np.zeros(5),
                             count=np.full(5, 3))
-    tails = TailSeries(dates=dates, estimates=(None,) * 5)
+    tails = TailSeries(dates=dates, alpha=np.full(5, math.nan), k=np.zeros(5), n=np.zeros(5))
     report = AnalysisReport(ref_date=START, dispersion=disp, tails=tails, extremes=(),
                             policy="drop-at-ref", window=1)
     # the reference dates are plain dates, so only the series' dates count
@@ -610,8 +618,8 @@ def synthetic_sweep(n_refs: int, n_dates: int = 2000) -> SweepResult:
         dates = dates_from(START + dt.timedelta(days=i), n_dates)
         disp = DispersionSeries(dates=dates, mean=rng.random(n_dates),
                                 variance=rng.random(n_dates), count=np.full(n_dates, 50))
-        tails = TailSeries(dates=dates, estimates=tuple(
-            TailEstimate(alpha=a, k=5, n=50, method=HILL) for a in (1.0 + rng.random(n_dates))))
+        tails = TailSeries(dates=dates, alpha=1.0 + rng.random(n_dates),
+                           k=np.full(n_dates, 5), n=np.full(n_dates, 50))
         entries.append(SweepEntry(dates[0], disp, tails))
     return SweepResult(entries=tuple(entries), universe=("A",) * 50, policy="drop-at-ref",
                        k_policy=KPolicy())
@@ -643,8 +651,7 @@ def test_analyze_csv_fan_out_streams_each_file(tmp_path):
     dates = dates_from(START, n)
     disp = DispersionSeries(dates=dates, mean=rng.random(n), variance=rng.random(n),
                             count=np.full(n, 50))
-    tails = TailSeries(dates=dates, estimates=tuple(
-        TailEstimate(alpha=a, k=5, n=50, method=HILL) for a in (1.0 + rng.random(n))))
+    tails = TailSeries(dates=dates, alpha=1.0 + rng.random(n), k=np.full(n, 5), n=np.full(n, 50))
     report = AnalysisReport(ref_date=START, dispersion=disp, tails=tails, extremes=(),
                             policy="drop-at-ref", window=1)
     peaks = []

@@ -16,6 +16,7 @@ from crossdisp import (
     NonFiniteVariance,
     PerformancePanel,
     TailEstimate,
+    TailSeries,
     TooFewTailPoints,
     WindowTooLarge,
     detect_extremes,
@@ -268,7 +269,7 @@ def test_tail_series_gap_below_min_cross_section():
     series = tail_series(perf)
     assert series.estimates[1] is not None
     assert series.estimates[2] is None
-    assert math.isnan(series.alphas()[2])
+    assert math.isnan(series.alpha[2]) and series.k[2] == 0
     assert len(series) == 3
 
 
@@ -277,7 +278,8 @@ def test_k_policy_default_is_ten_percent_ceiling():
     assert policy.k_for(1000) == 100
     assert policy.k_for(15) == 2  # ceil(1.5)
     assert policy.k_for(10) == 1
-    assert policy.k_for(9) is None
+    assert policy.k_for(9) == 0
+    assert policy.k_for([1000, 15, 10, 9, 0]).tolist() == [100, 2, 1, 0, 0]
     assert KPolicy(fraction=0.99, min_n=2).k_for(2) == 1  # clamped below n
 
 
@@ -293,6 +295,26 @@ def test_tail_estimate_validates_fields():
         TailEstimate(alpha=1.0, k=5, n=5, method="hill")
     with pytest.raises(ValueError):
         TailEstimate(alpha=-2.0, k=1, n=5, method="hill")
+
+
+@pytest.mark.parametrize(
+    "alpha, k, n",
+    [
+        ([1.0], [1], [1]),  # k = n
+        ([1.0], [-1], [5]),  # k negative
+        ([0.0], [1], [5]),  # alpha not positive
+        ([-2.0], [1], [5]),
+        ([np.inf], [1], [5]),  # alpha not finite
+        ([np.nan], [1], [5]),  # no alpha at an estimate
+        ([1.0], [0], [5]),  # an alpha at a gap
+        ([1.0, np.nan], [1, 0], [5, 5]),  # two values for one date
+        ([1.0], [1, 0], [5]),
+        ([1.0], [1], [5, 5]),
+    ],
+)
+def test_tail_series_validates_columns(alpha, k, n):
+    with pytest.raises(ValueError):
+        TailSeries((d("2003-01-02"),), alpha, k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +409,18 @@ def reference_hill_k_sweep(x, k_values=None):
     return out
 
 
+def reference_k(policy, n):
+    """The documented rule: ceil(fraction * n) clamped to [1, n - 1], None below min_n."""
+    if n < policy.min_n:
+        return None
+    return min(max(math.ceil(policy.fraction * n), 1), n - 1)
+
+
 def reference_tail_series(perf, policy):
     estimates = []
     for row in perf.values:
         xs = row[np.isfinite(row)]
-        k = policy.k_for(int(xs.size))
+        k = reference_k(policy, int(xs.size))
         try:
             estimates.append(None if k is None else reference_hill_estimator(xs, k))
         except DegenerateTail:
@@ -504,9 +533,10 @@ def test_tail_series_matches_per_date_reference(perf, fraction, min_n):
     series = tail_series(perf, policy)
     assert series.dates == perf.dates and series.k_policy == policy
     assert_same_estimates(series.estimates, reference_tail_series(perf, policy))
-    for row, est in zip(perf.values, series.estimates):
-        if est is not None:
-            assert est.alpha == hill_estimator(row[np.isfinite(row)], est.k).alpha
+    assert series.n.tolist() == [int(np.isfinite(row).sum()) for row in perf.values]
+    exact = [hill_estimator(row[np.isfinite(row)], k).alpha if k else np.nan
+             for row, k in zip(perf.values, series.k.tolist())]
+    assert np.array_equal(series.alpha, exact, equal_nan=True)
 
 
 def test_hill_is_accurate_on_nearly_tied_values():

@@ -116,6 +116,20 @@ def test_bounds_hold_on_random_psd_matrices():
         assert lo <= value <= hi
 
 
+def test_feasible_expected_dispersion_is_at_most_one():
+    # m = 0, sigma = 1: E[V] = 1 - 1'R1/n^2, and 1'R1 >= 0 for every PSD R
+    rng = np.random.default_rng(78)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        spec = CorrelationSpec.with_matrix(random_correlation(rng, n))
+        assert expected_dispersion(spec) <= 1.0 + 1e-12
+    for n in (2, 3, 10, 1000):
+        spec = CorrelationSpec.equicorrelated(n, -1.0 / (n - 1))
+        assert expected_dispersion(spec) == pytest.approx(1.0, rel=1e-12)
+        assert expected_dispersion(CorrelationSpec.with_matrix(spec.correlation_matrix())) == (
+            pytest.approx(1.0, rel=1e-12))
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         CorrelationSpec(
