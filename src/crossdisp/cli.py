@@ -41,7 +41,7 @@ from .panel import (
     DROP_AT_REF,
     MISSING_DATA_POLICIES,
     PricePanel,
-    normalize_panel,
+    performance_chunks,
     survival_curve,
 )
 from .simulate import SimConfig, simulate_dispersion, spawn_seeds, validate_feasibility
@@ -224,8 +224,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_survival(args: argparse.Namespace) -> int:
     panel = load_price_panel(args.panel)
-    perf = normalize_panel(panel, args.tref, policy=args.policy)
-    xs = perf.cross_section(args.date)
+    xs = None
+    for chunk in performance_chunks(panel, args.tref, policy=args.policy):  # each range-checked
+        if args.date in chunk.dates:
+            xs = chunk.cross_section(args.date)
+    if xs is None:  # --date is before --tref or not in the panel: date_index raises which
+        chunk.date_index(args.date)
     curve = survival_curve(xs)
     if args.hill_sweep:
         # written first, so an unwritable path fails before any output;

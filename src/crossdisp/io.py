@@ -10,14 +10,17 @@ in any order; the panel is sorted by date after loading.
 Ingest is streamed: the file is read row by row, each row's prices are
 converted and checked together, and only a row that fails the check is
 parsed again cell by cell to name its first bad cell. Rows fill one
-float64 matrix, doubled when full, so peak memory follows the matrix, not
-the file text or the heap's layout. Non-UTF-8 bytes and text the csv
-module cannot split (such as an oversized field) raise a DataError.
+float64 matrix, doubled in place (``ndarray.resize``) when full, trimmed
+at the end, reordered only if the dates came unsorted and adopted by the
+panel, so peak memory follows the matrix, not the file text or the heap's
+layout. Non-UTF-8 bytes and text the csv module cannot split (such as an
+oversized field) raise a DataError.
 
 ``tref_sweep`` runs the normalize / dispersion / tail step of the
-analyze pipeline (``cli.analyze_panel``) once per reference date. The
-dispersion and tail tables are formatted from their series' columns
-(a tail gap has empty alpha, k, n and method cells).
+analyze pipeline (``cli.analyze_panel``) once per reference date, one
+performance chunk at a time. The dispersion and tail tables are
+formatted from their series' columns (a tail gap has empty alpha, k, n
+and method cells).
 
 Every report maps to a ``meta`` block and named tables of rows, which
 both formats render. JSON documents are a top-level object with the
@@ -68,7 +71,7 @@ from .panel import (
     PricePanel,
     SurvivalCurve,
     dispersion_series,
-    normalize_panel,
+    performance_chunks,
 )
 from .simulate import SimResult
 from .tails import (
@@ -169,7 +172,7 @@ def _read_panel(
         raise ParseError(1, 2, "duplicate ticker names")
 
     seen: dict[dt.date, None] = {}  # the dates in file order
-    rows = np.empty((64, len(tickers)))  # one matrix, doubled when full (see above)
+    rows = np.empty((64, len(tickers)))  # one matrix, grown in place (see above)
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -184,14 +187,17 @@ def _read_panel(
         if when in seen:
             raise DuplicateDate(when)
         if len(seen) == len(rows):
-            grown = np.empty((2 * len(rows), len(tickers)))
-            grown[: len(rows)] = rows
-            rows = grown
+            rows.resize((2 * len(rows), len(tickers)), refcheck=False)
         rows[len(seen)] = _parse_prices(row[1:], line_no)
         seen[when] = None
 
-    order = sorted(range(len(seen)), key=list(seen).__getitem__)
-    return tuple(sorted(seen)), tickers, rows[order]
+    rows.resize((len(seen), len(tickers)), refcheck=False)
+    dates = tuple(seen)
+    if any(a > b for a, b in zip(dates, dates[1:])):
+        rows = rows[sorted(range(len(dates)), key=dates.__getitem__)]
+        dates = tuple(sorted(dates))
+    rows.setflags(write=False)  # so that PricePanel adopts it
+    return dates, tickers, rows
 
 
 def write_price_panel(panel: PricePanel, path: str | Path) -> None:
@@ -272,14 +278,25 @@ class AnalysisReport:
     window: int
 
 
+def _joined(parts: list[Any], columns: tuple[str, ...], **extra: Any) -> Any:
+    """One series of consecutive ``parts``: their dates and each column joined."""
+    return type(parts[0])(tuple(chain.from_iterable(part.dates for part in parts)),
+                          *(np.concatenate([getattr(part, c) for part in parts]) for c in columns),
+                          **extra)
+
+
 def _sweep_entry(panel: PricePanel, ref_date: dt.date, policy: str,
                  k_policy: KPolicy) -> SweepEntry:
-    """Dispersion and tail series from ``ref_date``; the performance panel is freed on return."""
-    perf = normalize_panel(panel, ref_date, policy=policy)
+    """Dispersion and tail series from ``ref_date``, one performance chunk at a time."""
+    # the statistics reduce each date on its own, so the joined columns equal the
+    # whole matrix's bit for bit
+    parts = [(dispersion_series(chunk), tail_series(chunk, k_policy))
+             for chunk in performance_chunks(panel, ref_date, policy)]
+    dispersions, tails = zip(*parts)
     return SweepEntry(
         ref_date=ref_date,
-        dispersion=dispersion_series(perf),
-        tails=tail_series(perf, k_policy),
+        dispersion=_joined(dispersions, ("mean", "variance", "count")),
+        tails=_joined(tails, ("alpha", "k", "n"), k_policy=k_policy),
     )
 
 

@@ -7,6 +7,9 @@ cross-section of performances. This module builds those cross-sections,
 their empirical survival function, and their mean and dispersion through
 time.
 
+``performance_chunks`` divides the prices into performances a chunk of
+about CHUNK_BYTES at a time; ``normalize_panel`` joins the chunks.
+
 All variances are the population form (divide by N, not N - 1). The
 survival function uses a strict inequality: S(z) is the fraction of the
 cross-section strictly greater than z.
@@ -15,8 +18,10 @@ cross-section strictly greater than z.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
+from itertools import chain
+from typing import Any, NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -28,6 +33,7 @@ FloatArray = npt.NDArray[np.float64]
 DROP_AT_REF = "drop-at-ref"
 COMPLETE_ONLY = "complete-only"
 MISSING_DATA_POLICIES = (DROP_AT_REF, COMPLETE_ONLY)
+CHUNK_BYTES = 2**20  # bytes of one chunk: a block's draws in the simulator, performances here
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +42,25 @@ MISSING_DATA_POLICIES = (DROP_AT_REF, COMPLETE_ONLY)
 
 
 def _as_readonly(values: object) -> FloatArray:
+    """``values`` as a read-only float64 array: adopted if its data belongs to a read-only
+    array (itself or the one it views), else copied, as a caller's writable array is."""
+    owner = values if getattr(values, "base", None) is None else values.base
+    if (type(values) is type(owner) is np.ndarray and values.dtype == np.float64
+            and owner.flags.owndata and not owner.flags.writeable):
+        return values
     arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
+
+
+def _eq_by_value(self: Any, other: object) -> bool:
+    """``==`` of a frozen dataclass that holds numpy arrays: same type and equal
+    fields, each array by shape and values (NaN equal to NaN)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+               for a, b in pairs)
 
 
 def _any_nonpositive(values: FloatArray) -> bool:
@@ -72,6 +94,7 @@ class PricePanel:
     dates: tuple[dt.date, ...]
     tickers: tuple[str, ...]
     prices: FloatArray
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -117,6 +140,7 @@ class PerformancePanel:
     dates: tuple[dt.date, ...]
     tickers: tuple[str, ...]
     values: FloatArray
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -149,15 +173,58 @@ class PerformancePanel:
         return row[np.isfinite(row)]
 
 
+def performance_chunks(
+    panel: PricePanel,
+    ref_date: dt.date,
+    policy: str = DROP_AT_REF,
+) -> Iterator[PerformancePanel]:
+    """The performance panel of ``normalize_panel`` in read-only chunks of
+    consecutive dates, from the reference date on: ``max(2, CHUNK_BYTES //
+    (8 * stocks kept))`` dates each, the last up to one more. A chunk is
+    divided from the price matrix when it is drawn. The checks of
+    ``normalize_panel`` run when the first chunk is drawn, and each chunk's
+    range check when it is, so errors come in date order.
+    """
+    if policy not in MISSING_DATA_POLICIES:
+        raise ValueError(f"unknown missing-data policy: {policy!r}")
+    row = panel.date_index(ref_date)
+    ref_prices = panel.prices[row]
+    keep = np.isfinite(ref_prices)
+    if policy == COMPLETE_ONLY:
+        keep &= np.isfinite(panel.prices[row:]).all(axis=0)
+    n_kept = int(keep.sum())
+    if n_kept < 2:
+        raise TooFewStocks(n_kept, 2)
+    ref_prices = ref_prices[keep]
+    tickers = tuple(t for t, ok in zip(panel.tickers, keep) if ok)
+    # Chunks are column-major and hold two dates or more (the whole panel aside), so
+    # numpy sums each date's row in order, as in one matrix; a lone row it sums pairwise.
+    step = max(2, CHUNK_BYTES // (8 * n_kept))
+    stops = [*range(row + step, panel.n_dates - 1, step), panel.n_dates]
+    for lo, hi in zip([row, *stops], stops):
+        block = panel.prices[lo:hi].T[keep]  # stocks by dates: one copy, divided in place
+        with np.errstate(over="ignore"):
+            np.divide(block, ref_prices[:, None], out=block)
+        block.setflags(write=False)
+        values = block.T
+        if (np.fmin.reduce(values, axis=None, initial=1.0) == 0.0
+                or np.fmax.reduce(values, axis=None, initial=1.0) == np.inf):
+            i, j = np.argwhere((values == 0.0) | (values == np.inf))[0]
+            raise DataError(f"performance of {tickers[j]} on {panel.dates[lo + i]} against "
+                            f"{ref_date} is outside the range of a double")
+        yield PerformancePanel(ref_date=ref_date, dates=panel.dates[lo:hi],
+                               tickers=tickers, values=values)
+
+
 def normalize_panel(
     panel: PricePanel,
     ref_date: dt.date,
     policy: str = DROP_AT_REF,
 ) -> PerformancePanel:
-    """Divide every price path by its price on ``ref_date``. A ratio that
-    underflows to 0 or overflows to infinity raises DataError, and fewer
-    than the 2 surviving stocks the cross-sectional statistics need raise
-    TooFewStocks.
+    """Divide every price path by its price on ``ref_date``: the chunks of
+    ``performance_chunks`` joined. A ratio that underflows to 0 or overflows
+    to infinity raises DataError, and fewer than the 2 surviving stocks the
+    cross-sectional statistics need raise TooFewStocks.
 
     Parameters
     ----------
@@ -171,30 +238,11 @@ def normalize_panel(
         prices as per-date gaps. ``complete-only`` keeps only stocks
         priced on every date from the reference date onward.
     """
-    if policy not in MISSING_DATA_POLICIES:
-        raise ValueError(f"unknown missing-data policy: {policy!r}")
-    row = panel.date_index(ref_date)
-    ref_prices = panel.prices[row]
-    keep = np.isfinite(ref_prices)
-    if policy == COMPLETE_ONLY:
-        keep &= np.isfinite(panel.prices[row:]).all(axis=0)
-    n_kept = int(keep.sum())
-    if n_kept < 2:
-        raise TooFewStocks(n_kept, 2)
-    with np.errstate(over="ignore"):
-        values = panel.prices[row:, keep] / ref_prices[keep]
-    tickers = tuple(t for t, ok in zip(panel.tickers, keep) if ok)
-    if (np.fmin.reduce(values, axis=None, initial=1.0) == 0.0
-            or np.fmax.reduce(values, axis=None, initial=1.0) == np.inf):
-        i, j = np.argwhere((values == 0.0) | (values == np.inf))[0]
-        raise DataError(f"performance of {tickers[j]} on {panel.dates[row + i]} against "
-                        f"{ref_date} is outside the range of a double")
-    return PerformancePanel(
-        ref_date=ref_date,
-        dates=panel.dates[row:],
-        tickers=tickers,
-        values=values,
-    )
+    chunks = list(performance_chunks(panel, ref_date, policy))
+    block = np.concatenate([chunk.values.T for chunk in chunks], axis=1)  # as each chunk's
+    block.setflags(write=False)
+    return PerformancePanel(ref_date=ref_date, tickers=chunks[0].tickers, values=block.T,
+                            dates=tuple(chain.from_iterable(chunk.dates for chunk in chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +267,7 @@ class SurvivalCurve:
     """
 
     sorted_values: FloatArray
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         values = _as_readonly(self.sorted_values)
@@ -312,6 +361,7 @@ class DispersionSeries:
     mean: FloatArray
     variance: FloatArray
     count: npt.NDArray[np.int64]
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))

@@ -52,11 +52,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSD, NumericalError, TooFewStocks, ZeroReps
-from .panel import FloatArray, dispersion_values
+from .panel import CHUNK_BYTES, FloatArray, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
 REPLICATION_BLOCK = 4096
-CHUNK_BYTES = 2**20  # bytes of standard-normal draws in one chunk of a block
 FEASIBILITY_TOL = 1e-10
 _MAX_SEED = 2**64
 

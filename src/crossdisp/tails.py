@@ -40,7 +40,7 @@ from .errors import (
     TooFewTailPoints,
     WindowTooLarge,
 )
-from .panel import FloatArray, PerformancePanel, SurvivalCurve
+from .panel import FloatArray, PerformancePanel, SurvivalCurve, _eq_by_value
 
 HILL = "hill"
 LOGLOG = "loglog"
@@ -276,6 +276,7 @@ class TailSeries:
     k: npt.NDArray[np.intp]
     n: npt.NDArray[np.intp]
     k_policy: KPolicy = field(default_factory=KPolicy)
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))

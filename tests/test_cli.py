@@ -13,6 +13,7 @@ import pytest
 import crossdisp
 from crossdisp import CorrelationSpec, PricePanel, write_price_panel
 from crossdisp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RHO_GRID, main
+from crossdisp.panel import CHUNK_BYTES
 
 from conftest import d
 
@@ -182,6 +183,43 @@ def test_huge_year_range_exits_without_expanding_it(small_csv, capsys):
     assert code == EXIT_DATA
     assert capsys.readouterr().err.endswith(": no trading days in year 1\n")
     assert peak < 1024 * 1024
+
+
+@pytest.fixture(scope="module")
+def big_panel(tmp_path_factory):
+    """A 4.8 MB price matrix (1000 dates, 600 stocks, 5% missing): over four chunks."""
+    rng = np.random.default_rng(3)
+    prices = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, (1000, 600)), axis=0))
+    prices[1:][rng.random((999, 600)) < 0.05] = np.nan
+    panel = PricePanel(tuple(d("2000-01-03") + dt.timedelta(days=i) for i in range(1000)),
+                       tuple(f"S{i}" for i in range(600)), prices)
+    path = tmp_path_factory.mktemp("big") / "panel.csv"
+    write_price_panel(panel, path)
+    return str(path), panel
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "survival"])
+def test_peak_memory_is_the_price_matrix_and_a_few_chunks(command, big_panel, tmp_path):
+    path, panel = big_panel
+    first, middle, last = (panel.dates[i].isoformat() for i in (0, 500, -1))
+    argv = {
+        "analyze": ["analyze", path, "--tref", first],
+        "sweep": ["sweep", path, "--trefs", f"{first},{middle}"],
+        "survival": ["survival", path, "--tref", first, "--date", last,
+                     "--hill-sweep", str(tmp_path / "hill.csv")],
+    }[command]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    nbytes = panel.prices.nbytes
+    assert nbytes > 4 * CHUNK_BYTES
+    # the price matrix, up to twice its rows while ingest grows it, and a few chunks of
+    # performances; a whole performance matrix brought the peak to 3.3x the prices
+    assert peak <= 2 * nbytes + 3 * CHUNK_BYTES
 
 
 def test_exit_data_tiny_universe(capsys):

@@ -186,6 +186,41 @@ def test_unsorted_rows_past_the_first_matrix_block(tmp_path):
     assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
 
 
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+def test_rows_in_any_order_load_sorted_and_read_only(order, tmp_path):
+    # 70 rows: past the loader's first 64-row block
+    days = {"sorted": range(70), "reversed": range(69, -1, -1),
+            "shuffled": np.random.default_rng(3).permutation(70).tolist()}[order]
+    lines = ["date,A,B"] + [f"{dt.date(2001, 1, 1) + dt.timedelta(days=day)},{day + 1},"
+                            for day in days]
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    panel = load_price_panel(path)
+    assert panel.dates == tuple(dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(70))
+    assert panel.prices[:, 0].tolist() == list(range(1, 71))
+    assert np.isnan(panel.prices[:, 1]).all()
+    assert not panel.prices.flags.writeable
+    with pytest.raises(ValueError):
+        panel.prices[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("rows, error", [
+    # the first bad row in file order raises, after the first 64-row block too
+    (["2001-01-02,1", "2001-01-01,1", "2001-01-02,x"], "duplicate date: 2001-01-02"),
+    (["2001-01-02,1", "2001-01-01,x", "2001-01-02,1"], "line 3, column 2: not a number: 'x'"),
+    ([f"{dt.date(2001, 1, 1) + dt.timedelta(days=i)},1" for i in range(99, 29, -1)]
+     + ["2002-01-01,0", "2001-04-10,1"], "line 72, column 2: non-positive price 0.0"),
+    ([f"{dt.date(2001, 1, 1) + dt.timedelta(days=i)},1" for i in range(99, 29, -1)]
+     + ["2001-04-10,1", "2002-01-01,0"], "duplicate date: 2001-04-10"),
+])
+def test_first_bad_row_in_file_order_raises(rows, error, tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(["date,A", *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_price_panel(path)
+    assert str(err.value) == error
+
+
 # ---------------------------------------------------------------------------
 # byte-order mark
 # ---------------------------------------------------------------------------
@@ -251,6 +286,6 @@ def test_ingest_peak_memory_is_bounded_by_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded.prices, prices, equal_nan=True)
-    # the doubling matrix, its date-ordered copy and PricePanel's checked
-    # copy come to about 2.5x; the constant covers the reader's buffers
-    assert peak <= 5 * loaded.prices.nbytes + 256 * 1024
+    # one matrix, grown in place to 256 rows for 200 dates and then adopted by the
+    # panel; the constant covers the reader's buffers
+    assert peak <= 256 / 200 * loaded.prices.nbytes + 256 * 1024

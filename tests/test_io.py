@@ -19,6 +19,7 @@ from crossdisp import (
     RefDateAbsent,
     RhoSweepRow,
     RhoSweepTable,
+    TailSeries,
     analyze_panel,
     detect_extremes,
     dispersion_series,
@@ -220,6 +221,25 @@ def test_sweep_multiple_refs(tiny_panel):
     for entry in sweep.entries:
         assert entry.dispersion.dates[0] == entry.ref_date
         assert entry.dispersion.variance[0] == 0.0
+
+
+def test_equal_multi_date_series_and_reports_compare_equal(gappy_panel):
+    # numpy columns compare by value (NaN equal to NaN); == must not raise
+    dates = gappy_panel.dates[:2]
+    assert (TailSeries(dates, [math.nan, 1.0], [0, 1], [3, 3])
+            == TailSeries(dates, [math.nan, 1.0], [0, 1], [3, 3]))
+    assert (TailSeries(dates, [math.nan, 1.0], [0, 1], [3, 3])
+            != TailSeries(dates, [math.nan, 2.0], [0, 1], [3, 3]))
+    kp = KPolicy(min_n=2)
+    first, second = (analyze_panel(gappy_panel, gappy_panel.dates[0], "drop-at-ref", kp, 1)
+                     for _ in range(2))
+    assert first.dispersion is not second.dispersion and np.isnan(first.tails.alpha[0])
+    assert first.dispersion == second.dispersion and first.tails == second.tails
+    assert first == second
+    sweeps = [tref_sweep(gappy_panel, list(gappy_panel.dates[:2]), k_policy=kp) for _ in range(2)]
+    assert sweeps[0].entries[0] == sweeps[1].entries[0] and sweeps[0] == sweeps[1]
+    assert sweeps[0].entries[0] != sweeps[0].entries[1]
+    assert first.dispersion != dispersion_series(normalize_panel(gappy_panel, dates[1]))
 
 
 def test_sweep_absent_ref_names_date(tiny_panel):

@@ -56,6 +56,31 @@ def test_price_panel_ignores_missing_prices():
     np.testing.assert_array_equal(panel.prices, prices)
 
 
+def test_price_panel_copies_what_a_caller_can_still_write():
+    dates, tickers = (d("2003-01-02"), d("2003-01-03")), ("A", "B")
+    prices = np.array([[1.0, 2.0], [3.0, np.nan]])
+    read_only_view = prices[:]
+    read_only_view.setflags(write=False)
+    panels = [PricePanel(dates, tickers, prices), PricePanel(dates, tickers, read_only_view),
+              PricePanel(dates, tickers, prices.tolist())]
+    prices[0, 0] = 7.0  # the caller's array changes; no panel does
+    for panel in panels:
+        assert panel.prices is not prices and panel.prices is not read_only_view
+        assert panel.prices[0, 0] == 1.0 and not panel.prices.flags.writeable
+
+
+def test_price_panel_adopts_a_read_only_array_nothing_else_writes():
+    dates, tickers = (d("2003-01-02"), d("2003-01-03")), ("A", "B")
+    owned = np.array([[1.0, 2.0], [3.0, np.nan]])
+    owned.setflags(write=False)
+    transposed = np.array([[1.0, 3.0], [2.0, 4.0]])
+    transposed.setflags(write=False)
+    assert PricePanel(dates, tickers, owned).prices is owned
+    # a read-only view of a read-only array that owns its data, such as its transpose
+    assert PricePanel(dates, tickers, transposed.T).prices.base is transposed
+    assert PricePanel(dates, tickers, owned.astype(np.float32)).prices.dtype == np.float64
+
+
 def test_price_panel_construction_peak_memory():
     rng = np.random.default_rng(5)
     n_dates, n_stocks = 300, 400
