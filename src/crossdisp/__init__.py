@@ -74,6 +74,7 @@ from .simulate import (
 from .synthetic import bubble_panel
 from .tails import (
     ExtremeEvent,
+    HillSweep,
     KPolicy,
     TailEstimate,
     TailSeries,
@@ -113,7 +114,7 @@ __all__ = [
     "cross_sectional_moments", "pairwise_dispersion", "dispersion_values",
     "dispersion_series", "DROP_AT_REF", "COMPLETE_ONLY", "MISSING_DATA_POLICIES",
     # tails
-    "TailEstimate", "TailSeries", "ExtremeEvent", "KPolicy",
+    "TailEstimate", "TailSeries", "HillSweep", "ExtremeEvent", "KPolicy",
     "hill_estimator", "hill_k_sweep", "loglog_tail_fit", "powerlaw_slope",
     "pareto_variance", "tail_series", "detect_extremes",
     # theory

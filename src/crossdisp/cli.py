@@ -25,7 +25,6 @@ from typing import Any
 from .errors import DataError, NumericalError
 from .io import (
     AnalysisReport,
-    HillSweep,
     RhoSweepRow,
     RhoSweepTable,
     _sweep_entry,
@@ -232,9 +231,8 @@ def cmd_survival(args: argparse.Namespace) -> int:
         chunk.date_index(args.date)
     curve = survival_curve(xs)
     if args.hill_sweep:
-        # written first, so an unwritable path fails before any output;
-        # the estimates are freed before the survival report is rendered
-        write_report(HillSweep(tuple(hill_k_sweep(xs))), args.hill_sweep, fmt="csv")
+        # written first, so an unwritable path fails before any output
+        write_report(hill_k_sweep(xs), args.hill_sweep, fmt="csv")
     return _emit(curve, args)
 
 

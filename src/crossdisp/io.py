@@ -77,8 +77,8 @@ from .simulate import SimResult
 from .tails import (
     HILL,
     ExtremeEvent,
+    HillSweep,
     KPolicy,
-    TailEstimate,
     TailSeries,
     tail_series,
 )
@@ -338,13 +338,6 @@ class RhoSweepTable:
     seed: int
 
 
-@dataclass(frozen=True)
-class HillSweep:
-    """Hill estimates of one sample across k, as from ``hill_k_sweep``."""
-
-    estimates: tuple[TailEstimate, ...]
-
-
 # ---------------------------------------------------------------------------
 # report tables: one row model behind JSON and CSV
 # ---------------------------------------------------------------------------
@@ -452,9 +445,8 @@ def _layout(result: Any) -> _Layout:
             {"series": _tail_table(result, _iso(result.dates))},
         )
     if isinstance(result, SurvivalCurve):
-        return _Layout(_meta("survival-curve", n=result.n),
-                       {"series": _Table(("z", "survival"), (
-                           (_jf(z), _jf(s)) for z, s in zip(*result.step_points())))})
+        return _Layout(_meta("survival-curve", n=result.n), {"series": _Table(
+            ("z", "survival"), zip(*map(_jf_all, result.step_points())))})
     if isinstance(result, AnalysisReport):
         return _Layout(
             _meta(
@@ -510,10 +502,8 @@ def _layout(result: Any) -> _Layout:
             )},
         )
     if isinstance(result, HillSweep):
-        return _Layout(
-            _meta("hill-sweep"),
-            {"series": _Table(("k", "alpha"), ((e.k, _jf(e.alpha)) for e in result.estimates))},
-        )
+        return _Layout(_meta("hill-sweep"), {"series": _Table(
+            ("k", "alpha"), zip(result.k.tolist(), _jf_all(result.alpha)))})
     if isinstance(result, (list, tuple)) and all(
         isinstance(e, ExtremeEvent) for e in result
     ):

@@ -150,12 +150,13 @@ class PerformancePanel:
         if values.shape != (len(self.dates), len(self.tickers)):
             raise ValueError("value matrix shape does not match axes")
         _check_axes(self.dates, self.tickers)
-        if any(d < self.ref_date for d in self.dates):
+        # the dates strictly increase: only the first can be the reference date
+        if self.dates and self.dates[0] < self.ref_date:
             raise ValueError("all dates must be on or after the reference date")
         if _any_nonpositive(values):
             raise ValueError("performance values must be strictly positive")
-        if self.ref_date in self.dates:
-            row = values[self.dates.index(self.ref_date)]
+        if self.dates and self.dates[0] == self.ref_date:
+            row = values[0]
             if not np.all(row[np.isfinite(row)] == 1.0):
                 raise ValueError("the reference-date row must be identically 1")
 

@@ -93,15 +93,15 @@ class FeasibilityReport:
     detail: str
 
 
-def validate_feasibility(spec: CorrelationSpec, tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
+def validate_feasibility(spec: CorrelationSpec) -> FeasibilityReport:
     """Check that the correlation structure is realizable.
 
     Equicorrelation is feasible iff rho >= -1/(n-1); full matrices are
     checked through their smallest eigenvalue, with negative eigenvalues
-    above -tol treated as rounding and clipped to zero at sampling time.
+    above -FEASIBILITY_TOL treated as rounding and clipped to zero at sampling time.
     """
     smallest = spec.min_correlation_eigenvalue()
-    if smallest >= -tol:
+    if smallest >= -FEASIBILITY_TOL:
         return FeasibilityReport(True, smallest, "feasible")
     if isinstance(spec.structure, Equicorrelation):
         bound = -1.0 / (spec.n - 1) if spec.n > 1 else -1.0
@@ -110,7 +110,7 @@ def validate_feasibility(spec: CorrelationSpec, tol: float = FEASIBILITY_TOL) ->
             f"bound -1/(n-1) = {bound} for n={spec.n}"
         )
     else:
-        detail = f"correlation matrix has eigenvalue {smallest} < -{tol}"
+        detail = f"correlation matrix has eigenvalue {smallest} < -{FEASIBILITY_TOL}"
     return FeasibilityReport(False, smallest, detail)
 
 
@@ -119,11 +119,11 @@ def validate_feasibility(spec: CorrelationSpec, tol: float = FEASIBILITY_TOL) ->
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_sqrt(spec: CorrelationSpec, tol: float = FEASIBILITY_TOL) -> FloatArray:
+def _symmetric_sqrt(spec: CorrelationSpec) -> FloatArray:
     cov = spec.covariance_matrix()
     eigvals, eigvecs = np.linalg.eigh(cov)
     scale = max(1.0, float(eigvals[-1]))
-    if eigvals[0] < -tol * scale:
+    if eigvals[0] < -FEASIBILITY_TOL * scale:
         raise NotPSD(f"covariance eigenvalue {eigvals[0]} is negative beyond tolerance")
     rooted = np.sqrt(np.clip(eigvals, 0.0, None))
     return (eigvecs * rooted) @ eigvecs.T

@@ -3,10 +3,11 @@
 Two estimators of the upper-tail Pareto exponent are provided: the Hill
 estimator on the k largest order statistics, and a least-squares fit of
 the log survival function against the log threshold. Both are meant for
-per-date cross-sections of performance ratios. `tail_series` applies the
-Hill estimator to every date of a performance panel at once and returns
-a `TailSeries` of columns (alpha, k and n, one value per date; a gap has
-alpha NaN and k 0), with no object per date.
+per-date cross-sections of performance ratios. `hill_k_sweep` returns a
+`HillSweep` of columns k and alpha for one sample (degenerate ks left out;
+`hill_estimator` is its one-k case), and `tail_series` a `TailSeries` of
+columns alpha, k and n for every date of a performance panel (a gap has
+alpha NaN and k 0). Neither builds an object per k or per date.
 
 All Hill sums come from one kernel, `_hill_sums`. On a sample sorted in
 descending order it forms the sum of log(x_(i) / x_(k+1)) over i = 1..k
@@ -95,29 +96,62 @@ def _hill_sums(descending: FloatArray, ks: npt.NDArray[np.intp]) -> FloatArray:
     return np.take_along_axis(sums, (ks - 1)[:, None], axis=1)[:, 0]
 
 
-def _descending(arr: FloatArray) -> FloatArray:
-    """A strictly positive, finite sample sorted largest first."""
+@dataclass(frozen=True)
+class HillSweep:
+    """Hill estimates of one sample across k, as columns: order statistics used
+    ``k`` and exponent ``alpha``, one value per estimate."""
+
+    k: npt.NDArray[np.intp]
+    alpha: FloatArray
+    __eq__ = _eq_by_value
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("k", np.intp), ("alpha", np.float64)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+            getattr(self, name).setflags(write=False)
+        if self.k.ndim != 1 or self.k.shape != self.alpha.shape or not np.all(
+                (0 < self.k) & (0.0 < self.alpha) & (self.alpha < np.inf)):
+            raise ValueError("need 1-d columns: one k > 0 per finite alpha > 0")
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+
+def hill_k_sweep(x: npt.ArrayLike, k_values: list[int] | None = None) -> HillSweep:
+    """Hill estimates at each integer k of ``k_values`` (default 1..n-1), for
+    diagnostic plots, from one sort and one cumulative sum; degenerate ks are
+    left out. Errors come as from one estimate per k in turn: BadK for the
+    first k, ValueError for a sample that is not strictly positive and
+    finite, then BadK for the first other k out of range."""
+    arr = np.asarray(x, dtype=np.float64)
+    n = int(arr.size)
+    ks = np.arange(1, n) if k_values is None else np.asarray(k_values)
+    if not ks.size:
+        return HillSweep(k=ks, alpha=np.empty(0))
+    if ks.dtype.kind not in "biu":
+        raise TypeError(f"k must be an integer, got {ks.dtype} values")
+    bad = (ks < 1) | (ks >= n)
+    if bad[0]:
+        raise BadK(int(ks[0]), n)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("sample must be strictly positive and finite")
-    return np.sort(arr)[::-1]
-
-
-def _hill(log_excess_sum: float, k: int, n: int) -> TailEstimate | None:
-    """The estimate for one Hill sum, or None for a degenerate tail."""
-    if log_excess_sum == 0.0:
-        return None
-    return TailEstimate(alpha=k / log_excess_sum, k=k, n=n, method=HILL)
+    if bad.any():
+        raise BadK(int(ks[bad.argmax()]), n)
+    sums = _hill_sums(np.sort(arr)[::-1], ks)
+    spread = sums > 0.0  # a zero sum: the top k+1 values are tied
+    return HillSweep(k=ks[spread], alpha=ks[spread] / sums[spread])
 
 
 def hill_estimator(x: npt.ArrayLike, k: int) -> TailEstimate:
-    """Hill estimate of the upper-tail exponent from the k largest values.
+    """Hill estimate of the upper-tail exponent from the k largest values:
+    the one-k case of ``hill_k_sweep``.
 
     Parameters
     ----------
     x:
         Strictly positive sample, any order.
     k:
-        Number of upper order statistics, 1 <= k < len(x).
+        Number of upper order statistics, an integer with 1 <= k < len(x).
 
     Returns
     -------
@@ -134,39 +168,10 @@ def hill_estimator(x: npt.ArrayLike, k: int) -> TailEstimate:
         is zero and no exponent is defined.
     """
     arr = np.asarray(x, dtype=np.float64)
-    n = int(arr.size)
-    if not 1 <= k < n:
-        raise BadK(k, n)
-    ordered = _descending(arr)
-    estimate = _hill(float(_hill_sums(ordered, np.array([k]))[0]), k, n)
-    if estimate is None:
-        raise DegenerateTail(
-            f"the {k + 1} largest values are all equal; no tail spread"
-        )
-    return estimate
-
-
-def hill_k_sweep(x: npt.ArrayLike, k_values: list[int] | None = None) -> list[TailEstimate]:
-    """Hill estimates across a range of k, for diagnostic plots.
-
-    Defaults to every k in 1..n-1. Degenerate ks are skipped. One sort
-    and one cumulative sum serve every k.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    n = int(arr.size)
-    ks = list(range(1, n)) if k_values is None else list(k_values)
-    if not ks:
-        return []
-    # the same checks, in the same order, as one hill_estimator call per k
-    if not 1 <= ks[0] < n:
-        raise BadK(ks[0], n)
-    ordered = _descending(arr)
-    for k in ks:
-        if not 1 <= k < n:
-            raise BadK(k, n)
-    sums = _hill_sums(ordered, np.array(ks, dtype=np.intp))
-    estimates = (_hill(s, k, n) for s, k in zip(sums.tolist(), ks))
-    return [e for e in estimates if e is not None]
+    sweep = hill_k_sweep(arr, [k])
+    if not len(sweep):
+        raise DegenerateTail(f"the {k + 1} largest values are all equal; no tail spread")
+    return TailEstimate(alpha=float(sweep.alpha[0]), k=k, n=int(arr.size), method=HILL)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import DimensionMismatch, NoLimit
+from .panel import _eq_by_value
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -43,6 +44,7 @@ class FullMatrix:
     """An explicit correlation matrix: symmetric, unit diagonal, entries in [-1, 1]."""
 
     matrix: FloatArray
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.float64)
@@ -66,6 +68,7 @@ class CorrelationSpec:
     means: FloatArray
     sigmas: FloatArray
     structure: Equicorrelation | FullMatrix
+    __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
         if self.n < 1:

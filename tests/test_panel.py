@@ -197,6 +197,19 @@ def test_performance_panel_requires_unit_reference_row():
         )
 
 
+def test_performance_panel_dates_start_on_or_after_the_reference_date():
+    ref, tickers = d("2003-01-03"), ("AAA", "BBB")
+    with pytest.raises(ValueError, match="on or after the reference date"):
+        PerformancePanel(ref_date=ref, dates=(d("2003-01-02"), ref), tickers=tickers,
+                         values=np.ones((2, 2)))
+    # a chunk that starts after the reference date has no unit row to check
+    later = PerformancePanel(ref_date=ref, dates=(d("2003-01-06"), d("2003-01-07")),
+                             tickers=tickers, values=np.array([[1.1, 0.9], [1.0, 1.2]]))
+    assert later.values.tolist() == [[1.1, 0.9], [1.0, 1.2]]
+    assert PerformancePanel(ref_date=ref, dates=(), tickers=tickers,
+                            values=np.empty((0, 2))).values.shape == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # survival function
 # ---------------------------------------------------------------------------

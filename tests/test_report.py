@@ -33,6 +33,7 @@ from crossdisp import (
     DispersionSeries,
     ExtremeEvent,
     FullMatrix,
+    HillSweep,
     KPolicy,
     RhoSweepRow,
     RhoSweepTable,
@@ -49,7 +50,6 @@ from crossdisp import (
     write_report,
 )
 from crossdisp import io as report_io
-from crossdisp.io import HillSweep
 from crossdisp.theory import Equicorrelation
 from crossdisp.tails import HILL, LOCAL_MAXIMUM, LOCAL_MINIMUM, LOGLOG
 
@@ -223,7 +223,8 @@ def ref_to_csv(result):
             [[r.rho, r.mean_vn, r.se_vn, r.expected, r.source] for r in result.rows],
         )
     if isinstance(result, HillSweep):  # the hand-formatted --hill-sweep file
-        return "\n".join(["k,alpha"] + [f"{e.k},{e.alpha!r}" for e in result.estimates]) + "\n"
+        pairs = zip(result.k.tolist(), result.alpha.tolist())
+        return "\n".join(["k,alpha"] + [f"{k},{alpha!r}" for k, alpha in pairs]) + "\n"
     if isinstance(result, (list, tuple)) and all(isinstance(e, ExtremeEvent) for e in result):
         return ref_csv_from_rows(["date", "kind", "value", "window"],
                                  [[e.date, e.kind, e.value, e.window] for e in result])
@@ -364,7 +365,8 @@ rho_tables = st.builds(RhoSweepTable, rows=st.lists(rho_rows, max_size=5).map(tu
                        sigma=positive, seed=st.integers(0, 2**64 - 1))
 survival_curves = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12).map(
     lambda xs: SurvivalCurve(sorted_values=np.sort(np.array(xs))))
-hill_sweeps = st.lists(tail_estimates(), max_size=6).map(lambda es: HillSweep(tuple(es)))
+hill_sweeps = st.lists(tail_estimates(), max_size=6).map(
+    lambda es: HillSweep(k=[e.k for e in es], alpha=[e.alpha for e in es]))
 
 reports = st.one_of(
     st.integers(1, 10).flatmap(lambda n: dispersion_series_at(START, n)),
@@ -481,7 +483,7 @@ def reports_with_awkward_strings(draw):
 EMPTY_REPORTS = [
     SweepResult(entries=(), universe=("A",), policy="drop-at-ref", k_policy=KPolicy()),
     RhoSweepTable(rows=(), n=2, reps=0, sigma=1.0, seed=0),
-    HillSweep(()),
+    HillSweep(k=[], alpha=[]),
     [],
     (),
     DispersionSeries(dates=(), mean=np.array([]), variance=np.array([]), count=np.array([])),

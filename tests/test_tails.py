@@ -12,6 +12,7 @@ from crossdisp import (
     BadK,
     DegenerateTail,
     ExtremeEvent,
+    HillSweep,
     KPolicy,
     NonFiniteVariance,
     PerformancePanel,
@@ -104,6 +105,10 @@ def test_hill_bad_k():
         hill_estimator(xs, 3)
     with pytest.raises(BadK):
         hill_estimator(xs, -1)
+    with pytest.raises(TypeError):  # not cut to an estimate at k = 1
+        hill_estimator(xs, 1.5)
+    with pytest.raises(TypeError):
+        hill_k_sweep(xs, [1, 1.5])
 
 
 def test_hill_degenerate_tail():
@@ -137,17 +142,43 @@ def test_hill_spacing_ratio_past_the_largest_double():
     # 1e300 / 2e-10 overflows, so that spacing's log comes from the logs
     xs = np.array([1e300, *np.arange(2.0, 12.0) * 1e-10])
     top = np.sort(xs)[::-1]
-    for estimate in hill_k_sweep(xs):
-        k = estimate.k
+    sweep = hill_k_sweep(xs)
+    for k, alpha in zip(sweep.k.tolist(), sweep.alpha.tolist()):
         direct = np.sum(np.log(top[:k]) - np.log(top[k]))
-        assert estimate.alpha == pytest.approx(k / direct, rel=1e-12)
+        assert alpha == pytest.approx(k / direct, rel=1e-12)
 
 
 def test_hill_k_sweep_covers_range():
     xs = pareto_grid(50, 2.0)
-    estimates = hill_k_sweep(xs)
-    assert [e.k for e in estimates] == list(range(1, 50))
-    assert estimates[9].alpha == hill_estimator(xs, 10).alpha
+    sweep = hill_k_sweep(xs)
+    assert len(sweep) == 49 and sweep.k.tolist() == list(range(1, 50))
+    assert sweep.alpha[9] == hill_estimator(xs, 10).alpha
+
+
+def test_hill_k_sweep_builds_no_tail_estimate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hill_k_sweep built a TailEstimate")
+
+    monkeypatch.setattr("crossdisp.tails.TailEstimate", refuse)
+    sweep = hill_k_sweep(pareto_grid(50, 2.0))
+    assert len(sweep) == 49
+    assert not sweep.k.flags.writeable and not sweep.alpha.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "k, alpha",
+    [
+        ([0], [1.0]),  # k not positive
+        ([1], [0.0]),  # alpha not positive
+        ([1], [np.inf]),  # alpha not finite
+        ([1], [np.nan]),
+        ([1, 2], [1.0]),  # one k per alpha
+        ([[1]], [[1.0]]),  # columns, not a matrix
+    ],
+)
+def test_hill_sweep_validates_columns(k, alpha):
+    with pytest.raises(ValueError):
+        HillSweep(k=k, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +477,11 @@ def reference_detect_extremes(values, window, dates=None):
     return events
 
 
+def sweep_estimates(sweep, n):
+    """A sweep's columns as the TailEstimates of one hill_estimator call per k."""
+    return [TailEstimate(a, k, n, "hill") for k, a in zip(sweep.k.tolist(), sweep.alpha.tolist())]
+
+
 def assert_same_estimates(got, want):
     """Same gaps, k, n and method; alpha within rel 1e-12."""
     assert [None if e is None else (e.k, e.n, e.method) for e in got] == [
@@ -471,12 +507,14 @@ SCALES = st.sampled_from([1.0, 0.125, 1024.0, 1e6])
 def test_hill_k_sweep_matches_per_k_reference(sample, scale, data):
     xs = np.array(sample) * scale
     n = xs.size
-    assert_same_estimates(hill_k_sweep(xs), reference_hill_k_sweep(xs))
+    assert_same_estimates(sweep_estimates(hill_k_sweep(xs), n), reference_hill_k_sweep(xs))
     ks = data.draw(st.lists(st.integers(1, n - 1), max_size=10))
     swept = hill_k_sweep(xs, ks)
-    assert_same_estimates(swept, reference_hill_k_sweep(xs, ks))
-    for est in swept:
-        assert est.alpha == hill_estimator(xs, est.k).alpha
+    want = reference_hill_k_sweep(xs, ks)
+    assert_same_estimates(sweep_estimates(swept, n), want)
+    # bit for bit against one estimate per k, in the order of ks
+    assert list(zip(swept.k.tolist(), swept.alpha.tolist())) == [
+        (e.k, hill_estimator(xs, e.k).alpha) for e in want]
 
 
 @pytest.mark.parametrize(
@@ -495,9 +533,12 @@ def test_hill_k_sweep_matches_per_k_reference(sample, scale, data):
 def test_hill_k_sweep_errors_match_reference(sample, k_values):
     def run(sweep):
         try:
-            return [(e.alpha, e.k) for e in sweep(sample, k_values)]
+            estimates = sweep(sample, k_values)
         except (BadK, ValueError) as exc:
             return type(exc)
+        if isinstance(estimates, HillSweep):
+            estimates = sweep_estimates(estimates, len(sample))
+        return [(e.alpha, e.k) for e in estimates]
 
     assert run(hill_k_sweep) == run(reference_hill_k_sweep)
 
@@ -554,7 +595,7 @@ def test_hill_is_accurate_on_nearly_tied_values():
     for k in (1, 2, 3, 10, 100, 1000, 4999):
         want = exact_alpha(k)
         assert hill_estimator(xs, k).alpha == pytest.approx(want, rel=1e-13)
-        assert swept[k - 1].alpha == pytest.approx(want, rel=1e-13)
+        assert swept.alpha[k - 1] == pytest.approx(want, rel=1e-13)
 
 
 EXTREME_VALUES = st.one_of(

@@ -157,6 +157,17 @@ def test_full_matrix_validation():
         FullMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
+def test_specs_compare_by_value():
+    spec = CorrelationSpec.equicorrelated(3, 0.2, 1.0)
+    assert spec == CorrelationSpec.equicorrelated(3, 0.2, 1.0)
+    assert spec != CorrelationSpec.equicorrelated(3, 0.2, 2.0)
+    m = np.array([[1.0, 0.3], [0.3, 1.0]])
+    assert FullMatrix(m) == FullMatrix(m.copy()) and FullMatrix(m) != FullMatrix(np.eye(2))
+    assert CorrelationSpec.with_matrix(m) == CorrelationSpec.with_matrix(m.copy())
+    assert CorrelationSpec.with_matrix(m) != CorrelationSpec.with_matrix(np.eye(2))
+    assert CorrelationSpec.with_matrix(m) != CorrelationSpec.with_matrix(m, sigmas=[1.0, 2.0])
+
+
 def test_equicorrelation_range_validation():
     with pytest.raises(ValueError):
         Equicorrelation(1.2)
