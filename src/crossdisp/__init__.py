@@ -93,6 +93,7 @@ from .theory import (
     FullMatrix,
     TermLimits,
     dispersion_bounds,
+    dispersion_variance,
     equicorrelation_dispersion_variance,
     equicorrelation_expected_dispersion,
     expected_dispersion,
@@ -119,7 +120,7 @@ __all__ = [
     "pareto_variance", "tail_series", "detect_extremes",
     # theory
     "CorrelationSpec", "Equicorrelation", "FullMatrix",
-    "EquicorrelatedFamily", "TermLimits", "expected_dispersion",
+    "EquicorrelatedFamily", "TermLimits", "expected_dispersion", "dispersion_variance",
     "equicorrelation_expected_dispersion", "equicorrelation_dispersion_variance",
     "limit_dispersion", "dispersion_bounds",
     # simulate

@@ -1,11 +1,14 @@
 """Seeded Monte Carlo for the cross-sectional dispersion of Gaussian returns.
 
-Replications are drawn from counter-based Philox substreams: replication
-r lives in block r // REPLICATION_BLOCK, and each block's stream starts
-at a counter derived only from (seed, block index). Every replication's
-draws are therefore a pure function of the seed and its own index, so
-results are bit-identical no matter how many workers execute the blocks
-or in which order they finish.
+Replications are drawn from SFC64 streams keyed by SeedSequence:
+replication r lives in block r // REPLICATION_BLOCK (1024 replications),
+and each block's stream is seeded by SeedSequence(seed, spawn_key=(block,)),
+a function of (seed, block index) alone. Every replication's draws are
+therefore a pure function of the seed and its own index, so results are
+bit-identical no matter how many workers execute the blocks or in which
+order they finish. With ``workers`` > 1 the blocks are dealt round-robin
+to min(workers, blocks) pool tasks, so a run of more than one block
+already uses more than one thread.
 
 Inside a block, the stream is walked in chunks of rows of n draws
 holding about CHUNK_BYTES; each chunk is drawn, transformed and reduced
@@ -13,11 +16,12 @@ to its dispersions before the next is drawn. numpy fills normals in
 stream order, so consecutive chunk draws equal one whole-block draw bit
 for bit: equicorrelation gives the same values as drawing the block at
 once, and a row-chunked ``z @ root`` may differ from it only in the last
-bits. Each block refills one draw buffer in place, which also keeps the
-allocator from handing pages back and faulting them in again on every
-chunk. Memory is about two chunks per worker (draws and the variance
-step's deviations; a full matrix adds its samples and its n x n square
-root) plus 8 bytes per replication, whatever the replication count.
+bits. Each task allocates one draw buffer and refills it in place for
+every chunk of every block it runs, which also keeps the allocator from
+handing pages back and faulting them in again. Memory is about two
+chunks per worker (draws and the variance step's deviations; a full
+matrix adds its samples and its n x n square root) plus 8 bytes per
+replication, whatever the replication count.
 
 Sampling honors the declared correlation structure exactly. An
 equicorrelation matrix R has the closed-form symmetric square root
@@ -55,7 +59,7 @@ from .errors import NotPSD, NumericalError, TooFewStocks, ZeroReps
 from .panel import CHUNK_BYTES, FloatArray, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
-REPLICATION_BLOCK = 4096
+REPLICATION_BLOCK = 1024
 FEASIBILITY_TOL = 1e-10
 _MAX_SEED = 2**64
 
@@ -186,8 +190,11 @@ def sample_gaussian_matrix(
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    # Counter blocks are 2**128 draws apart; no stream can cross into the next.
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, 0]))
+    # SeedSequence hashes (seed, block) into the SFC64 state, so the streams
+    # of neighbouring blocks or seeds share no structure
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
+    )
 
 
 def _idiosyncratic_scale(spec: CorrelationSpec) -> float | None:
@@ -236,27 +243,30 @@ def simulate_dispersion(
     reps = config.reps
     values = np.empty(reps, dtype=np.float64)
 
-    def run_block(block: int) -> None:
-        start = block * REPLICATION_BLOCK
-        stop = min(start + REPLICATION_BLOCK, reps)
-        rng = _block_rng(config.seed, block)
-        z = np.empty((min(rows, stop - start), spec.n))  # refilled chunk by chunk
-        with np.errstate(over="ignore", invalid="ignore"):  # checked once all blocks are done
-            for lo in range(start, stop, rows):
-                size = min(rows, stop - lo)
-                rng.standard_normal(out=z[:size])
-                chunk = z[:size] if transform is None else transform(z[:size])
-                values[lo:lo + size] = dispersion_values(chunk)
-
     n_blocks = (reps + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK
+    tasks = max(1, min(workers, n_blocks))
+
+    def run_task(task: int) -> None:
+        # one draw buffer for the task, refilled chunk by chunk in every block
+        z = np.empty((min(rows, REPLICATION_BLOCK, reps), spec.n))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once all blocks are done
+            for block in range(task, n_blocks, tasks):
+                start = block * REPLICATION_BLOCK
+                stop = min(start + REPLICATION_BLOCK, reps)
+                rng = _block_rng(config.seed, block)
+                for lo in range(start, stop, rows):
+                    size = min(rows, stop - lo)
+                    rng.standard_normal(out=z[:size])
+                    chunk = z[:size] if transform is None else transform(z[:size])
+                    values[lo:lo + size] = dispersion_values(chunk)
+
     if scale == 0.0:
         values.fill(0.0)  # every cross-section is constant
     elif workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            list(pool.map(run_block, range(n_blocks)))
+        with ThreadPoolExecutor(max_workers=tasks) as pool:
+            list(pool.map(run_task, range(tasks)))
     else:
-        for block in range(n_blocks):
-            run_block(block)
+        run_task(0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         if scale is not None:

@@ -166,6 +166,46 @@ def expected_dispersion(spec: CorrelationSpec) -> float:
     return spread + float(np.mean(m * m)) - float(np.mean(m)) ** 2
 
 
+def dispersion_variance(spec: CorrelationSpec) -> float:
+    """Exact variance of one cross-section's population variance under ``spec``.
+
+    V = x^T A x with x ~ N(m, Sigma) and A = C / N, C = I - J / N, so
+
+        Var[V] = 2 tr((A Sigma)^2) + 4 m^T A Sigma A m
+               = (2 ||C Sigma C||_F^2 + 4 (C m)^T Sigma (C m)) / N^2.
+
+    A full matrix takes that dense O(N^2) form. Equicorrelation with any
+    sigmas s and means, Sigma = (1 - rho) D + rho s s^T with d = s^2 and
+    D = diag(d), takes an O(N) form: with u = C s and v = C m,
+
+        ||C Sigma C||_F^2 = (1 - rho)^2 (sum d^2 (1 - 2/N) + (sum d)^2 / N^2)
+                          + 2 rho (1 - rho) u^T D u + rho^2 (u^T u)^2,
+        (C m)^T Sigma (C m) = (1 - rho) v^T D v + rho (s^T v)^2.
+
+    Pure algebra in the first and second moments; no feasibility check.
+    """
+    s, n = spec.sigmas, spec.n
+    dev = spec.means - np.mean(spec.means)
+    if isinstance(spec.structure, Equicorrelation):
+        rho = spec.structure.rho
+        d = s * s
+        u = s - np.mean(s)
+        sum_d = float(np.sum(d))
+        centered_sq = (
+            (1.0 - rho) ** 2 * (float(d @ d) * (1.0 - 2.0 / n) + sum_d * sum_d / (n * n))
+            + 2.0 * rho * (1.0 - rho) * float(d @ (u * u))
+            + rho * rho * float(u @ u) ** 2
+        )
+        mean_term = (1.0 - rho) * float(d @ (dev * dev)) + rho * float(s @ dev) ** 2
+    else:
+        cov = spec.covariance_matrix()
+        centered = cov - cov.mean(axis=0)
+        centered -= centered.mean(axis=1, keepdims=True)
+        centered_sq = float(np.sum(centered * centered))
+        mean_term = float(dev @ cov @ dev)
+    return (2.0 * centered_sq + 4.0 * mean_term) / (n * n)
+
+
 def equicorrelation_expected_dispersion(n: int, rho: float, sigma: float = 1.0) -> float:
     """Closed form (1 - 1/n)(1 - rho) sigma^2 for the homogeneous case."""
     if n < 1:
@@ -177,8 +217,9 @@ def equicorrelation_expected_dispersion(n: int, rho: float, sigma: float = 1.0) 
 
 def equicorrelation_dispersion_variance(n: int, rho: float, sigma: float = 1.0) -> float:
     """Exact Var[V] = 2 (1 - rho)^2 sigma^4 (n - 1) / n^2 for the homogeneous
-    case at any feasible rho: V ~ (1 - rho) sigma^2 chi^2_{n-1} / n, so its
-    variance is 2 E[V]^2 / (n - 1)."""
+    case at any feasible rho, the closed form of ``dispersion_variance``
+    with one sigma (any common mean): V ~ (1 - rho) sigma^2 chi^2_{n-1} / n,
+    so its variance is 2 E[V]^2 / (n - 1)."""
     mean = equicorrelation_expected_dispersion(n, rho, sigma)
     return 2.0 * mean * mean / (n - 1) if n > 1 else 0.0
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from crossdisp import (
     TooFewStocks,
     ZeroReps,
     dispersion_values,
+    dispersion_variance,
     equicorrelation_dispersion_variance,
     expected_dispersion,
     sample_gaussian_matrix,
@@ -173,14 +175,56 @@ def test_different_seed_different_result():
 
 
 def test_worker_count_never_changes_values():
-    # reps spans two replication blocks so the thread pool actually splits work
-    assert REPLICATION_BLOCK < 5000
-    cfg = SimConfig(spec=CorrelationSpec.equicorrelated(3, -0.4), reps=5000, seed=11)
+    # reps ends in a partial block, and three or four tasks deal the blocks unevenly
+    assert REPLICATION_BLOCK < 5000 and 5000 % REPLICATION_BLOCK
+    for spec in (CorrelationSpec.equicorrelated(3, -0.4),
+                 _spread_spec(5, Equicorrelation(-0.2), 1),
+                 _spread_spec(4, _full_matrix(4, 2), 3)):
+        cfg = SimConfig(spec=spec, reps=5000, seed=11)
+        serial = simulate_dispersion(cfg, workers=1, keep_per_rep=True)
+        for workers in (3, 4):
+            threaded = simulate_dispersion(cfg, workers=workers, keep_per_rep=True)
+            assert np.array_equal(serial.per_rep, threaded.per_rep)
+            assert serial.mean_vn == threaded.mean_vn
+            assert serial.se_vn == threaded.se_vn
+
+
+def _draws(seed, block):
+    return simulate_module._block_rng(seed, block).standard_normal(16)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_block_streams_are_a_pure_function_of_seed_and_block(seed):
+    neighbour = seed - 1 if seed else seed + 1
+    for block in (0, 1, 1000):
+        first = _draws(seed, block)
+        assert np.array_equal(first, _draws(seed, block))
+        assert not np.array_equal(first, _draws(seed, block + 1))
+        assert not np.array_equal(first, _draws(neighbour, block))
+
+
+@pytest.mark.parametrize("reps", [4096, 2 * REPLICATION_BLOCK + 1])
+def test_two_workers_reduce_chunks_on_two_threads(reps, monkeypatch):
+    # each thread waits at the barrier on its first chunk, so one thread
+    # running every block would break it rather than pass
+    barrier = threading.Barrier(2, timeout=30)
+    idents = []
+    reduce = simulate_module.dispersion_values
+
+    def recording(chunk):
+        ident = threading.get_ident()
+        if ident not in idents:
+            idents.append(ident)
+            barrier.wait()
+        return reduce(chunk)
+
+    monkeypatch.setattr(simulate_module, "dispersion_values", recording)
+    cfg = SimConfig(spec=CorrelationSpec.equicorrelated(3, 0.1), reps=reps, seed=5)
+    pooled = simulate_dispersion(cfg, workers=2, keep_per_rep=True)
+    assert len(idents) == 2
+    monkeypatch.setattr(simulate_module, "dispersion_values", reduce)
     serial = simulate_dispersion(cfg, workers=1, keep_per_rep=True)
-    threaded = simulate_dispersion(cfg, workers=4, keep_per_rep=True)
-    assert np.array_equal(serial.per_rep, threaded.per_rep)
-    assert serial.mean_vn == threaded.mean_vn
-    assert serial.se_vn == threaded.se_vn
+    assert np.array_equal(pooled.per_rep, serial.per_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +449,14 @@ def test_chunked_general_path_matches_whole_blocks_to_rounding(n, boundary, seed
 
 def _quadratic_form_cumulants(spec):
     """Var[V] and the fourth cumulant of V = x^T A x, x ~ N(m, Sigma), A = (I - J/n)/n:
-    kappa_r = 2^(r-1) (r-1)! (tr((A Sigma)^r) + r m^T (A Sigma)^(r-1) A m)."""
+    kappa_r = 2^(r-1) (r-1)! (tr((A Sigma)^r) + r m^T (A Sigma)^(r-1) A m). Var[V] is
+    kappa_2, the exact law in the theory module."""
     n, m = spec.n, spec.means
     a = (np.eye(n) - np.full((n, n), 1.0 / n)) / n
     a_sigma = a @ spec.covariance_matrix()
     a_sigma_2 = a_sigma @ a_sigma
-    kappa2 = 2 * np.trace(a_sigma_2) + 4 * m @ a_sigma @ a @ m
     kappa4 = 48 * np.trace(a_sigma_2 @ a_sigma_2) + 192 * m @ a_sigma_2 @ a_sigma @ a @ m
-    return float(kappa2), float(kappa4)
+    return dispersion_variance(spec), float(kappa4)
 
 
 @pytest.mark.parametrize("structure", [
@@ -467,11 +511,13 @@ def test_simulate_peak_memory_is_chunks_plus_values():
     spec_bytes = spec.means.nbytes + spec.sigmas.nbytes
     # one untraced call first, so one-time allocations stay out of the peaks
     simulate_dispersion(SimConfig(spec=spec, reps=10, seed=8), workers=2)
-    for reps in (8192, 16384):
+    for reps in (8192, 16 * REPLICATION_BLOCK):
         # a homogeneous spec builds no samples: a chunk's draws and the variance
-        # step's deviations, about 2x CHUNK_BYTES a worker
+        # step's deviations, about 2x CHUNK_BYTES a worker, however many blocks
+        # each worker runs
         bound = 3 * 2 * CHUNK_BYTES + 8 * reps + spec_bytes
         assert _simulate_peak(spec, reps, workers=2) <= bound
     # one worker, so that the peak does not hang on how two threads' chunks overlap
-    small, large = (_simulate_peak(spec, reps, workers=1) for reps in (8192, 16384))
+    small, large = (_simulate_peak(spec, reps, workers=1)
+                    for reps in (8192, 16 * REPLICATION_BLOCK))
     assert abs(large - small) <= 64 * 1024 + 8 * 8192

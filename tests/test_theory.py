@@ -14,6 +14,7 @@ from crossdisp import (
     NoLimit,
     TermLimits,
     dispersion_bounds,
+    dispersion_variance,
     equicorrelation_dispersion_variance,
     equicorrelation_expected_dispersion,
     expected_dispersion,
@@ -243,6 +244,48 @@ def test_dispersion_variance_validates_like_the_mean():
         equicorrelation_dispersion_variance(0, 0.0)
     with pytest.raises(ValueError):
         equicorrelation_dispersion_variance(10, 1.5)
+
+
+def _trace_law(spec):
+    """Var[V] = 2 tr((A Sigma)^2) + 4 m^T A Sigma A m with A = (I - J/n)/n, term by term."""
+    n, m = spec.n, spec.means
+    a = (np.eye(n) - np.full((n, n), 1.0 / n)) / n
+    a_sigma = a @ spec.covariance_matrix()
+    return float(2 * np.trace(a_sigma @ a_sigma) + 4 * m @ a_sigma @ a @ m)
+
+
+def _spread_spec(n, structure, seed):
+    rng = np.random.default_rng(seed)
+    return CorrelationSpec(n=n, means=rng.normal(0.0, 1.0, n),
+                           sigmas=rng.uniform(0.1, 3.0, n), structure=structure)
+
+
+@pytest.mark.parametrize("rho", [-1.0 / 29, -0.02, 0.0, 0.4, 1.0],
+                         ids=["bound", "-0.02", "0.0", "0.4", "1.0"])
+def test_equicorrelation_dispersion_variance_is_the_dense_law(rho):
+    # the O(n) form against the dense form of the same matrix, and both
+    # against the trace formula written out
+    spec = _spread_spec(30, Equicorrelation(rho), 31)
+    dense = CorrelationSpec.with_matrix(spec.correlation_matrix(), spec.sigmas, spec.means)
+    assert dispersion_variance(spec) == pytest.approx(dispersion_variance(dense), rel=1e-12)
+    assert dispersion_variance(spec) == pytest.approx(_trace_law(spec), rel=1e-12)
+
+
+def test_full_matrix_dispersion_variance_is_the_trace_law():
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 17, 60):
+        spec = _spread_spec(n, FullMatrix(random_correlation(rng, n)), n)
+        assert dispersion_variance(spec) == pytest.approx(_trace_law(spec), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, rho, sigma, mean", [
+    (1, 0.5, 1.0, 0.0), (2, -1.0, 1.5, 0.7), (10, 0.0, 1.0, 0.0),
+    (50, 0.3, 2.0, -3.0), (12, -0.05, 1.5, 2.0), (1000, 1.0, 1.0, 0.0),
+])
+def test_dispersion_variance_of_a_homogeneous_spec_is_the_closed_form(n, rho, sigma, mean):
+    spec = CorrelationSpec.equicorrelated(n, rho, sigma, mean)
+    assert dispersion_variance(spec) == pytest.approx(
+        equicorrelation_dispersion_variance(n, rho, sigma), rel=1e-12, abs=1e-300)
 
 
 def test_expected_dispersion_leaves_no_residue_at_full_correlation():
