@@ -39,7 +39,6 @@ from .io import (
     first_trading_day_per_year,
     load_price_panel,
     render_report,
-    to_document,
     tref_sweep,
     write_price_panel,
     write_report,
@@ -129,7 +128,7 @@ __all__ = [
     "simulate_dispersion", "variance_decay_study",
     # io
     "load_price_panel", "write_price_panel", "analyze_panel", "tref_sweep",
-    "write_report", "render_report", "to_document", "SweepResult", "SweepEntry",
+    "write_report", "render_report", "SweepResult", "SweepEntry",
     "AnalysisReport", "RhoSweepTable", "RhoSweepRow",
     "first_trading_day_per_year",
     # synthetic

@@ -27,12 +27,10 @@ from .io import (
     AnalysisReport,
     RhoSweepRow,
     RhoSweepTable,
-    _sweep_entry,
     _write_text,
     _ymd,
     first_trading_day_per_year,
     load_price_panel,
-    render_chunks,
     tref_sweep,
     write_report,
 )
@@ -186,39 +184,25 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _emit(report: object, args: argparse.Namespace) -> int:
-    """Write ``report`` in --format to --out, or else to stdout."""
-    if args.out:
-        write_report(report, args.out, fmt=args.format)
-    else:
-        _write_text(None, render_chunks(report, fmt=args.format))
-    return EXIT_OK
-
-
 def analyze_panel(
     panel: PricePanel, ref_date: dt.date, policy: str, k_policy: KPolicy, window: int
 ) -> AnalysisReport:
     """The analyze pipeline: dispersion series, tail series and the tail
     exponent's strict local extremes within ``window`` dates, for one reference date."""
-    # tref_sweep's normalize / dispersion / tail step; detect_extremes is called
-    # in this module's namespace, where the benchmark tracer (bench/tracer.py) wraps it
-    entry = _sweep_entry(panel, ref_date, policy, k_policy)
+    # detect_extremes is called in this module's namespace, where the benchmark
+    # tracer (bench/tracer.py) wraps it
+    (entry,) = tref_sweep(panel, [ref_date], policy, k_policy).entries
     events = detect_extremes(entry.tails.alpha, window, dates=entry.tails.dates)
-    return AnalysisReport(
-        ref_date=ref_date,
-        dispersion=entry.dispersion,
-        tails=entry.tails,
-        extremes=tuple(events),
-        policy=policy,
-        window=window,
-    )
+    return AnalysisReport(ref_date=ref_date, dispersion=entry.dispersion, tails=entry.tails,
+                          extremes=tuple(events), policy=policy, window=window)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     panel = load_price_panel(args.panel)
     report = analyze_panel(panel, args.tref, args.policy,
                            KPolicy(fraction=args.k_fraction), args.window)
-    return _emit(report, args)
+    write_report(report, args.out or None, fmt=args.format)
+    return EXIT_OK
 
 
 def cmd_survival(args: argparse.Namespace) -> int:
@@ -233,7 +217,8 @@ def cmd_survival(args: argparse.Namespace) -> int:
     if args.hill_sweep:
         # written first, so an unwritable path fails before any output
         write_report(hill_k_sweep(xs), args.hill_sweep, fmt="csv")
-    return _emit(curve, args)
+    write_report(curve, args.out or None, fmt=args.format)
+    return EXIT_OK
 
 
 def _one_rho_row(
@@ -290,7 +275,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     refs = args.trefs if args.trefs else first_trading_day_per_year(panel, args.years)
     result = tref_sweep(panel, refs, policy=args.policy,
                         k_policy=KPolicy(fraction=args.k_fraction))
-    return _emit(result, args)
+    write_report(result, args.out or None, fmt=args.format)
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

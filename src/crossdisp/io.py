@@ -16,23 +16,22 @@ panel, so peak memory follows the matrix, not the file text or the heap's
 layout. Non-UTF-8 bytes and text the csv module cannot split (such as an
 oversized field) raise a DataError.
 
-``tref_sweep`` runs the normalize / dispersion / tail step of the
-analyze pipeline (``cli.analyze_panel``) once per reference date, one
-performance chunk at a time. The dispersion and tail tables are
-formatted from their series' columns (a tail gap has empty alpha, k, n
-and method cells).
+``tref_sweep`` is the normalize / dispersion / tail step of both
+``analyze`` (one reference date) and ``sweep``, run one performance
+chunk at a time. The dispersion and tail tables are formatted from their
+series' columns (a tail gap has empty alpha, k, n and method cells).
 
 Every report maps to a ``meta`` block and named tables of rows, which
-both formats render. JSON documents are a top-level object with the
+both formats render. A JSON document is a top-level object with the
 ``meta`` block (tool, version, policies, seed where applicable) and each
 table as a list of objects, written here from the tables (one %-template
-per table fills each row) byte for byte as ``json.dumps(to_document(r),
-indent=2, allow_nan=False)`` would write them; CSV holds one table per
-file. Floats use Python's shortest round-trip repr, so every written
-number reparses to the exact same double; undefined values are null in
-JSON and empty cells in CSV. Reports are streamed to their file or to
-stdout, a JSON table or 64 KiB of CSV at a time, so memory follows the
-largest table, not the report. Files are replaced atomically.
+per table fills each row) byte for byte as ``json.dumps(document,
+indent=2, allow_nan=False)`` plus a newline would write it; CSV holds one
+table per file. Floats use Python's shortest round-trip repr, so every
+written number reparses to the exact same double; undefined values are
+null in JSON and empty cells in CSV. Reports are streamed to their file
+or to stdout, a JSON table or 64 KiB of CSV at a time, so memory follows
+the largest table, not the report. Files are replaced atomically.
 """
 
 from __future__ import annotations
@@ -392,10 +391,6 @@ class _Layout:
     tables: dict[str, _Table]
     json_body: Callable[[], dict[str, Any]] | None = None
 
-    def document(self) -> dict[str, Any]:
-        """The JSON document, each table in it still a ``_Table``."""
-        return {"meta": self.meta, **(self.tables if self.json_body is None else self.json_body())}
-
 
 def _iso(dates: Iterable[dt.date]) -> list[str]:
     return [when.isoformat() for when in dates]
@@ -559,28 +554,13 @@ def _json_text(value: Any, pad: str) -> Iterator[str]:
         yield _json_leaf(value)
 
 
-def _plain(value: Any) -> Any:
-    """``value`` with each ``_Table`` in it as a list of objects."""
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, Iterator)):
-        return [_plain(item) for item in value]
-    if isinstance(value, _Table):
-        return [dict(zip(value.columns, row)) for row in value.rows]
-    return value
-
-
-def to_document(result: Any) -> dict[str, Any]:
-    """JSON-ready document for any supported report object, each table a list of
-    objects; ``render_report`` writes it as ``json.dumps(..., indent=2)`` would."""
-    return _plain(_layout(result).document())
-
-
 def render_chunks(result: Any, fmt: str = "csv") -> Iterator[str]:
     """A report's CSV or JSON text in pieces, each rendered when it is read;
     an unsupported report or format raises at once, before the first piece."""
     if fmt == "json":
-        return chain(_json_text(_layout(result).document(), ""), ("\n",))
+        layout = _layout(result)
+        body = layout.tables if layout.json_body is None else layout.json_body()
+        return chain(_json_text({"meta": layout.meta, **body}, ""), ("\n",))
     if fmt == "csv":
         tables = _layout(result).tables
         if len(tables) != 1:
@@ -644,18 +624,20 @@ def _write_text(path: Path | None, chunks: Iterable[str]) -> None:
         raise IoError(f"cannot write {path}: {shown}") from exc
 
 
-def write_report(result: Any, path: str | Path, fmt: str = "csv") -> None:
-    """Render ``result`` and write it to ``path`` atomically, streamed: each
-    piece is written as it is rendered, so memory follows the largest table.
+def write_report(result: Any, path: str | Path | None, fmt: str = "csv") -> None:
+    """Render ``result`` and write it to ``path`` atomically, or to stdout if
+    ``path`` is None, streamed: each piece is written as it is rendered, so
+    memory follows the largest table.
 
     In CSV a report with several tables (AnalysisReport) writes one file
     per table, ``base.<table>.csv``, where ``base`` is ``path`` without a
-    ``.csv`` suffix, each streamed in turn.
+    ``.csv`` suffix, each streamed in turn; to stdout it raises TypeError
+    before the first byte.
     """
-    path = Path(path)
-    if fmt != "csv":
-        _write_text(path, render_chunks(result, fmt))
+    if path is None or fmt != "csv":
+        _write_text(None if path is None else Path(path), render_chunks(result, fmt))
         return
+    path = Path(path)
     tables = _layout(result).tables
     base = path.with_suffix("") if path.suffix == ".csv" else path
     for name, table in tables.items():

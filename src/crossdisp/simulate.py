@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSD, NumericalError, TooFewStocks, ZeroReps
-from .panel import CHUNK_BYTES, FloatArray, dispersion_values
+from .panel import CHUNK_BYTES, FloatArray, _eq_by_value, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
 REPLICATION_BLOCK = 1024
@@ -80,14 +80,15 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     """Replication summary: mean, standard error and variance of the
-    per-replication dispersion, plus the generating config. se_vn is
-    sqrt(var_vn / reps)."""
+    per-replication dispersion ``per_rep``, plus the generating config.
+    se_vn is sqrt(var_vn / reps)."""
 
     mean_vn: float
     se_vn: float
     var_vn: float
     config: SimConfig
-    per_rep: FloatArray | None = None
+    per_rep: FloatArray
+    __eq__ = _eq_by_value
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,7 @@ def _idiosyncratic_scale(spec: CorrelationSpec) -> float | None:
     return idio_sigma * idio_sigma
 
 
-def simulate_dispersion(
-    config: SimConfig,
-    workers: int = 1,
-    keep_per_rep: bool = False,
-) -> SimResult:
+def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
     """Monte Carlo estimate of the expected cross-sectional dispersion.
 
     Draws ``config.reps`` independent cross-sections and computes the
@@ -281,7 +278,7 @@ def simulate_dispersion(
         se_vn=se_vn,
         var_vn=var_vn,
         config=config,
-        per_rep=values if keep_per_rep else None,
+        per_rep=values,
     )
 
 

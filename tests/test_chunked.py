@@ -16,6 +16,7 @@ import io
 import math
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_survival_row_equals_the_whole_matrix_row(case, data):
                 contextlib.redirect_stderr(err):
             code = main(["survival", path, "--tref", ref.isoformat(), "--date",
                          date.isoformat(), "--policy", policy, "--out", out])
-        got = (code, open(out, encoding="utf-8").read() if code == EXIT_OK else err.getvalue())
+        got = (code, Path(out).read_text(encoding="utf-8") if code == EXIT_OK else err.getvalue())
     assert got == want
 
 

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_exit_data_bad_csv(tmp_path, capsys):
 
 def test_analyze_reads_a_leading_byte_order_mark(small_csv, tmp_path, capsys):
     marked = tmp_path / "marked.csv"
-    marked.write_bytes(b"\xef\xbb\xbf" + open(small_csv, "rb").read())
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(small_csv).read_bytes())
     assert main(["analyze", small_csv, "--tref", "2020-01-02", "--window", "1"]) == EXIT_OK
     plain = capsys.readouterr().out
     assert main(["analyze", str(marked), "--tref", "2020-01-02", "--window", "1"]) == EXIT_OK
@@ -157,14 +158,34 @@ def test_analyze_csv_to_stdout_is_a_usage_error(small_csv, capsys):
     assert captured.err.splitlines()[-1].startswith("crossdisp: error: ")
 
 
-def test_sweep_writes_its_format_to_stdout(wide_csv, tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    argv = ["sweep", wide_csv, "--trefs", "2020-01-02,2020-01-04", "--format", "csv"]
+@pytest.mark.parametrize("argv, head", [
+    (["analyze", "--tref", "2020-01-02", "--window", "2"], '{\n  "meta": {'),
+    (["survival", "--tref", "2020-01-02", "--date", "2020-01-05"], "z,survival\n"),
+    (["survival", "--tref", "2020-01-02", "--date", "2020-01-05", "--format", "json"],
+     '{\n  "meta": {'),
+    (["sweep", "--trefs", "2020-01-02,2020-01-04", "--format", "csv"],
+     "ref_date,date,mean,variance,count,alpha,k\n"),
+    (["sweep", "--trefs", "2020-01-02,2020-01-04"], '{\n  "meta": {'),
+], ids=["analyze-json", "survival-csv", "survival-json", "sweep-csv", "sweep-json"])
+def test_stdout_gets_the_out_file_bytes(argv, head, wide_csv, tmp_path, capsysbinary):
+    # stdout and --out take the same exit, write_report, so they get the same bytes
+    argv = [argv[0], wide_csv, *argv[1:]]
+    out = tmp_path / "report.out"
     assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert capsysbinary.readouterr().out == b""
     assert main(argv) == EXIT_OK
-    stdout = capsys.readouterr().out
-    assert stdout.startswith("ref_date,date,mean,variance,count,alpha,k\n")
-    assert stdout == out.read_text(encoding="utf-8")
+    assert main([*argv, "--out", ""]) == EXIT_OK  # an empty --out is stdout too
+    stdout = capsysbinary.readouterr().out
+    assert stdout.startswith(head.encode())
+    assert stdout == 2 * out.read_bytes()
+
+
+def test_several_table_csv_to_stdout_raises_before_the_first_byte(small_csv, capsys):
+    report = crossdisp.analyze_panel(crossdisp.load_price_panel(small_csv), d("2020-01-02"),
+                                     "drop-at-ref", crossdisp.KPolicy(), 1)
+    with pytest.raises(TypeError):
+        crossdisp.write_report(report, None, "csv")
+    assert capsys.readouterr().out == ""
 
 
 def test_reversed_year_range_is_named(capsys):

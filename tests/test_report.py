@@ -1,11 +1,12 @@
 """The report table model against the per-type serializers it replaced.
 
-The reference functions below are the earlier ``to_document``/``_to_csv``
+The reference functions below are the earlier per-type document and CSV
 ladders, the ``write_report`` CSV fan-out and the hand-formatted Hill
-sweep CSV, kept verbatim in behaviour. Every report type must render to
-the same bytes in both formats, and write the same set of files. The
-JSON text, which the io module writes itself, must also equal what
-``json.dumps(..., indent=2)`` of the running interpreter writes.
+sweep CSV, kept verbatim in behaviour, plus the Hill sweep's JSON
+document. Every report type must render to the same bytes in both
+formats, and write the same set of files. The JSON text, which the io
+module writes itself, must also equal what ``json.dumps(..., indent=2)``
+of the running interpreter writes of the reference document.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from crossdisp import (
     TailSeries,
     __version__,
     render_report,
-    to_document,
     write_report,
 )
 from crossdisp import io as report_io
@@ -171,6 +171,10 @@ def ref_to_document(result):
                 for r in result.rows
             ],
         }
+    if isinstance(result, HillSweep):
+        return {"meta": ref_meta("hill-sweep"),
+                "series": [{"k": int(k), "alpha": ref_jf(a)}
+                           for k, a in zip(result.k, result.alpha)]}
     if isinstance(result, (list, tuple)) and all(isinstance(e, ExtremeEvent) for e in result):
         return {"meta": ref_meta("extreme-events"), "events": ref_event_rows(result)}
     raise TypeError(f"cannot serialize {type(result).__name__}")
@@ -353,8 +357,9 @@ def sim_results(draw) -> SimResult:
                                structure=FullMatrix(np.eye(n)))
     config = SimConfig(spec=spec, reps=draw(st.integers(0, 10**6)),
                        seed=draw(st.integers(0, 2**64 - 1)))
+    # no report writes per_rep
     return SimResult(mean_vn=draw(any_float), se_vn=draw(any_float), var_vn=draw(any_float),
-                     config=config)
+                     config=config, per_rep=np.array([]))
 
 
 rho_rows = st.builds(RhoSweepRow, rho=st.floats(-1.0, 1.0), mean_vn=any_float,
@@ -408,10 +413,10 @@ def written_files(write, result, name: str, fmt: str):
 @settings(max_examples=300, deadline=None)
 @given(result=reports)
 def test_render_report_matches_the_reference_serializers(result):
-    # the JSON of a Hill sweep is new: only its CSV had a writer before
-    if not isinstance(result, HillSweep):
-        assert outcome(render_report, result, "json") == outcome(ref_render_report, result, "json")
-        assert outcome(to_document, result) == outcome(ref_to_document, result)
+    assert outcome(render_report, result, "json") == outcome(ref_render_report, result, "json")
+    # a reader of the JSON text gets the reference document back, floats exact
+    assert outcome(lambda r: json.loads(render_report(r, "json")), result) == outcome(
+        ref_to_document, result)
     assert outcome(render_report, result, "csv") == outcome(ref_render_report, result, "csv")
 
 
@@ -419,8 +424,6 @@ def test_render_report_matches_the_reference_serializers(result):
 @given(result=reports, name=st.sampled_from(["out.csv", "out", "out.json"]),
        fmt=st.sampled_from(["csv", "json"]))
 def test_write_report_writes_the_reference_file_set(result, name, fmt):
-    if isinstance(result, HillSweep) and fmt == "json":
-        return
     assert written_files(write_report, result, name, fmt) == written_files(
         ref_write_report, result, name, fmt)
 
@@ -500,7 +503,7 @@ EMPTY_REPORTS = [
 @settings(max_examples=300, deadline=None)
 @given(result=st.one_of(reports, reports_with_awkward_strings(), st.sampled_from(EMPTY_REPORTS)))
 def test_json_render_is_byte_identical_to_json_dumps(result):
-    assert render_report(result, "json") == dumps_reference(to_document(result))
+    assert render_report(result, "json") == dumps_reference(ref_to_document(result))
 
 
 # documents of any shape: nested dicts and lists of scalars and tables
@@ -530,12 +533,23 @@ documents = st.recursive(
 )
 
 
+def _plain(value: Any) -> Any:
+    """``value`` with each ``_Table`` in it as a list of objects."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, report_io._Table):
+        return [dict(zip(value.columns, row)) for row in value.rows]
+    return value
+
+
 @settings(max_examples=300, deadline=None)
 @given(document=documents)
 def test_json_text_of_any_document_matches_json_dumps(document):
     # the rows here are lists, so both sides can read them
     assert "".join(report_io._json_text(document, "")) + "\n" == dumps_reference(
-        report_io._plain(document))
+        _plain(document))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_sample_vector_shape():
 
 def test_perfect_positive_correlation_kills_dispersion():
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(100, 1.0), reps=200, seed=3)
-    res = simulate_dispersion(cfg, keep_per_rep=True)
+    res = simulate_dispersion(cfg)
     assert np.max(np.abs(res.per_rep)) <= 1e-12
     assert res.mean_vn <= 1e-12
 
@@ -149,8 +150,8 @@ def test_sigma_doubling_scales_dispersion_by_exactly_four():
     # power-of-two scaling is exact in binary floating point
     lo = SimConfig(spec=CorrelationSpec.equicorrelated(20, 0.3, 1.0), reps=500, seed=99)
     hi = SimConfig(spec=CorrelationSpec.equicorrelated(20, 0.3, 2.0), reps=500, seed=99)
-    a = simulate_dispersion(lo, keep_per_rep=True)
-    b = simulate_dispersion(hi, keep_per_rep=True)
+    a = simulate_dispersion(lo)
+    b = simulate_dispersion(hi)
     assert np.array_equal(b.per_rep, 4.0 * a.per_rep)
 
 
@@ -161,8 +162,8 @@ def test_sigma_doubling_scales_dispersion_by_exactly_four():
 
 def test_same_seed_same_result():
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(30, 0.1), reps=300, seed=42)
-    r1 = simulate_dispersion(cfg, keep_per_rep=True)
-    r2 = simulate_dispersion(cfg, keep_per_rep=True)
+    r1 = simulate_dispersion(cfg)
+    r2 = simulate_dispersion(cfg)
     assert r1.mean_vn == r2.mean_vn
     assert np.array_equal(r1.per_rep, r2.per_rep)
 
@@ -181,9 +182,9 @@ def test_worker_count_never_changes_values():
                  _spread_spec(5, Equicorrelation(-0.2), 1),
                  _spread_spec(4, _full_matrix(4, 2), 3)):
         cfg = SimConfig(spec=spec, reps=5000, seed=11)
-        serial = simulate_dispersion(cfg, workers=1, keep_per_rep=True)
+        serial = simulate_dispersion(cfg, workers=1)
         for workers in (3, 4):
-            threaded = simulate_dispersion(cfg, workers=workers, keep_per_rep=True)
+            threaded = simulate_dispersion(cfg, workers=workers)
             assert np.array_equal(serial.per_rep, threaded.per_rep)
             assert serial.mean_vn == threaded.mean_vn
             assert serial.se_vn == threaded.se_vn
@@ -220,10 +221,10 @@ def test_two_workers_reduce_chunks_on_two_threads(reps, monkeypatch):
 
     monkeypatch.setattr(simulate_module, "dispersion_values", recording)
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(3, 0.1), reps=reps, seed=5)
-    pooled = simulate_dispersion(cfg, workers=2, keep_per_rep=True)
+    pooled = simulate_dispersion(cfg, workers=2)
     assert len(idents) == 2
     monkeypatch.setattr(simulate_module, "dispersion_values", reduce)
-    serial = simulate_dispersion(cfg, workers=1, keep_per_rep=True)
+    serial = simulate_dispersion(cfg, workers=1)
     assert np.array_equal(pooled.per_rep, serial.per_rep)
 
 
@@ -232,15 +233,25 @@ def test_two_workers_reduce_chunks_on_two_threads(reps, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_per_rep_only_on_request():
-    cfg = SimConfig(spec=CorrelationSpec.equicorrelated(10, 0.0), reps=50, seed=0)
-    assert simulate_dispersion(cfg).per_rep is None
-    kept = simulate_dispersion(cfg, keep_per_rep=True)
-    assert kept.per_rep is not None
-    assert kept.per_rep.shape == (50,)
+@pytest.mark.parametrize("spec, workers", [
+    (CorrelationSpec.equicorrelated(10, 0.0), 1),  # homogeneous: draws reduced directly
+    (CorrelationSpec(n=10, means=np.zeros(10), sigmas=np.linspace(1.0, 2.0, 10),
+                     structure=Equicorrelation(0.3)), 1),
+    (CorrelationSpec(n=4, means=np.zeros(4), sigmas=np.ones(4),
+                     structure=FullMatrix(np.eye(4))), 2),
+], ids=["homogeneous", "heterogeneous", "full-matrix"])
+def test_per_rep_always_matches_mean_and_variance(spec, workers):
+    kept = simulate_dispersion(SimConfig(spec=spec, reps=2050, seed=0), workers=workers)
+    assert kept.per_rep.shape == (2050,)
     assert kept.mean_vn == pytest.approx(float(kept.per_rep.mean()), rel=1e-15)
     assert kept.var_vn == pytest.approx(float(kept.per_rep.var(ddof=1)), rel=1e-12)
-    assert kept.se_vn == pytest.approx(math.sqrt(kept.var_vn / 50), rel=1e-15)
+    assert kept.se_vn == pytest.approx(math.sqrt(kept.var_vn / 2050), rel=1e-15)
+
+
+def test_sim_results_compare_by_value():
+    cfg = SimConfig(spec=CorrelationSpec.equicorrelated(8, 0.2), reps=40, seed=5)
+    assert simulate_dispersion(cfg) == simulate_dispersion(cfg)
+    assert simulate_dispersion(cfg) != simulate_dispersion(replace(cfg, seed=6))
 
 
 def test_single_rep_has_no_spread_estimate():
@@ -295,9 +306,9 @@ def test_pool_has_no_more_threads_than_blocks(workers, blocks, expected, monkeyp
     monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(3, 0.1),
                     reps=(blocks - 1) * REPLICATION_BLOCK + 1, seed=5)
-    pooled = simulate_dispersion(cfg, workers=workers, keep_per_rep=True)
+    pooled = simulate_dispersion(cfg, workers=workers)
     assert requested == [expected]
-    serial = simulate_dispersion(cfg, workers=1, keep_per_rep=True)
+    serial = simulate_dispersion(cfg, workers=1)
     assert np.array_equal(pooled.per_rep, serial.per_rep)
 
 
@@ -372,7 +383,7 @@ def test_chunked_one_factor_path_equals_whole_blocks(n, boundary, rho, seed, spe
     config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n), seed=seed)
     reference = _whole_block_per_rep(config)
     for workers in (1, 2):
-        chunked = simulate_dispersion(config, workers=workers, keep_per_rep=True)
+        chunked = simulate_dispersion(config, workers=workers)
         assert np.array_equal(chunked.per_rep, reference)
 
 
@@ -394,8 +405,8 @@ def test_homogeneous_path_matches_the_cross_sections(n, boundary, rho, sigma, me
     spec = CorrelationSpec.equicorrelated(n, rho, sigma, mean)
     config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n), seed=seed)
     reference = _whole_block_per_rep(config)
-    serial = simulate_dispersion(config, workers=1, keep_per_rep=True)
-    threaded = simulate_dispersion(config, workers=2, keep_per_rep=True)
+    serial = simulate_dispersion(config, workers=1)
+    threaded = simulate_dispersion(config, workers=2)
     assert np.array_equal(serial.per_rep, threaded.per_rep)
     assert np.max(np.abs(serial.per_rep - reference)) <= 1e-12 * (1.0 - rho) * sigma**2
 
@@ -410,7 +421,7 @@ def test_zero_scale_gives_exact_zeros_without_drawing(rho, sigma, monkeypatch):
     spec = CorrelationSpec.equicorrelated(1000, rho, sigma, mean=3.0)
     config = SimConfig(spec=spec, reps=REPLICATION_BLOCK + 1, seed=4)
     for workers in (1, 2):
-        res = simulate_dispersion(config, workers=workers, keep_per_rep=True)
+        res = simulate_dispersion(config, workers=workers)
         assert np.array_equal(res.per_rep, np.zeros(config.reps))
         assert (res.mean_vn, res.var_vn, res.se_vn) == (0.0, 0.0, 0.0)
 
@@ -441,8 +452,8 @@ def test_chunked_general_path_matches_whole_blocks_to_rounding(n, boundary, seed
     spec = _spread_spec(n, _full_matrix(n, matrix_seed), spec_seed)
     config = SimConfig(spec=spec, reps=_boundary_reps(boundary, n), seed=seed)
     reference = _whole_block_per_rep(config)
-    serial = simulate_dispersion(config, workers=1, keep_per_rep=True)
-    threaded = simulate_dispersion(config, workers=2, keep_per_rep=True)
+    serial = simulate_dispersion(config, workers=1)
+    threaded = simulate_dispersion(config, workers=2)
     assert np.array_equal(serial.per_rep, threaded.per_rep)
     assert np.max(np.abs(serial.per_rep - reference) / reference) <= 1e-13
 
