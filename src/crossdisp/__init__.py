@@ -65,7 +65,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     sample_gaussian_matrix,
-    sample_gaussian_vector,
     simulate_dispersion,
     validate_feasibility,
     variance_decay_study,
@@ -124,7 +123,7 @@ __all__ = [
     "limit_dispersion", "dispersion_bounds",
     # simulate
     "SimConfig", "SimResult", "FeasibilityReport", "validate_feasibility",
-    "sample_gaussian_vector", "sample_gaussian_matrix",
+    "sample_gaussian_matrix",
     "simulate_dispersion", "variance_decay_study",
     # io
     "load_price_panel", "write_price_panel", "analyze_panel", "tref_sweep",

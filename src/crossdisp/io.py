@@ -22,7 +22,8 @@ chunk at a time. The dispersion and tail tables are formatted from their
 series' columns (a tail gap has empty alpha, k, n and method cells).
 
 Every report maps to a ``meta`` block and named tables of rows, which
-both formats render. A JSON document is a top-level object with the
+both formats render; the simulator's report is the ``RhoSweepTable``, and
+a bare ``SimResult`` is none. A JSON document is a top-level object with the
 ``meta`` block (tool, version, policies, seed where applicable) and each
 table as a list of objects, written here from the tables (one %-template
 per table fills each row) byte for byte as ``json.dumps(document,
@@ -69,10 +70,10 @@ from .panel import (
     PerformancePanel,
     PricePanel,
     SurvivalCurve,
+    _freeze,
     dispersion_series,
     performance_chunks,
 )
-from .simulate import SimResult
 from .tails import (
     HILL,
     ExtremeEvent,
@@ -81,7 +82,6 @@ from .tails import (
     TailSeries,
     tail_series,
 )
-from .theory import Equicorrelation
 from .version import __version__
 
 
@@ -247,7 +247,8 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Dispersion and tail series for several reference dates over one universe."""
+    """Dispersion and tail series for several reference dates over one universe; each
+    entry's two series share their dates, from its reference date on, and ``k_policy``."""
 
     entries: tuple[SweepEntry, ...]
     universe: tuple[str, ...]
@@ -255,14 +256,16 @@ class SweepResult:
     k_policy: KPolicy
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "universe", tuple(self.universe))
+        _freeze(self, entries=tuple, universe=tuple)
         refs = [e.ref_date for e in self.entries]
         if any(a >= b for a, b in zip(refs, refs[1:])):
             raise ValueError("reference dates must be strictly increasing")
-        for entry in self.entries:
-            if entry.dispersion.dates[0] != entry.ref_date:
+        for entry in self.entries:  # the CSV joins each entry's tables row by row
+            dates = entry.dispersion.dates
+            if not dates or dates[0] != entry.ref_date:
                 raise ValueError("each sub-series must start at its own reference date")
+            if entry.tails.dates != dates or entry.tails.k_policy != self.k_policy:
+                raise ValueError("each tail series must match its dispersion's dates and k policy")
 
 
 @dataclass(frozen=True)
@@ -389,7 +392,7 @@ class _Layout:
 
     meta: dict[str, Any]
     tables: dict[str, _Table]
-    json_body: Callable[[], dict[str, Any]] | None = None
+    json_body: dict[str, Any] | None = None
 
 
 def _iso(dates: Iterable[dt.date]) -> list[str]:
@@ -472,20 +475,8 @@ def _layout(result: Any) -> _Layout:
                 (e["ref_date"], *row, tail_row[1], tail_row[2])
                 for e in entries for row, tail_row in zip(e["dispersion"].rows, e["tail"].rows)
             ))},
-            json_body=lambda: {"series": entries},
+            json_body={"series": entries},
         )
-    if isinstance(result, SimResult):
-        spec = result.config.spec
-        meta = _meta("simulation", n=spec.n, reps=result.config.reps, seed=result.config.seed)
-        if isinstance(spec.structure, Equicorrelation):
-            meta["rho"] = spec.structure.rho
-            meta["sigma"] = _jf(float(spec.sigmas[0]))
-        row = (_jf(result.mean_vn), _jf(result.se_vn), _jf(result.var_vn),
-               result.config.reps, result.config.seed)
-        table = _Table(("mean_vn", "se_vn", "var_vn", "reps", "seed"), (row,))
-        # JSON keeps reps and seed in meta, so its result is one object without them
-        return _Layout(meta, {"result": table},
-                       json_body=lambda: {"result": dict(zip(table.columns[:3], row))})
     if isinstance(result, RhoSweepTable):
         return _Layout(
             _meta("rho-sweep", n=result.n, reps=result.reps,
@@ -559,7 +550,7 @@ def render_chunks(result: Any, fmt: str = "csv") -> Iterator[str]:
     an unsupported report or format raises at once, before the first piece."""
     if fmt == "json":
         layout = _layout(result)
-        body = layout.tables if layout.json_body is None else layout.json_body()
+        body = layout.tables if layout.json_body is None else layout.json_body
         return chain(_json_text({"meta": layout.meta, **body}, ""), ("\n",))
     if fmt == "csv":
         tables = _layout(result).tables

@@ -41,16 +41,22 @@ CHUNK_BYTES = 2**20  # bytes of one chunk: a block's draws in the simulator, per
 # ---------------------------------------------------------------------------
 
 
-def _as_readonly(values: object) -> FloatArray:
-    """``values`` as a read-only float64 array: adopted if its data belongs to a read-only
-    array (itself or the one it views), else copied, as a caller's writable array is."""
-    owner = values if getattr(values, "base", None) is None else values.base
-    if (type(values) is type(owner) is np.ndarray and values.dtype == np.float64
-            and owner.flags.owndata and not owner.flags.writeable):
-        return values
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+def _freeze(record: Any, **kinds: type) -> None:
+    """Set each named field of the frozen dataclass ``record`` to a tuple (kind ``tuple``) or
+    to a read-only array of the given dtype. An array is adopted if its data belongs to a
+    read-only array (itself or the one it views) that owns it, and copied otherwise, as a
+    caller's writable array is."""
+    for name, kind in kinds.items():
+        value = getattr(record, name)
+        if kind is tuple:
+            value = tuple(value)
+        else:
+            owner = value if getattr(value, "base", None) is None else value.base
+            if not (type(value) is type(owner) is np.ndarray and value.dtype == kind
+                    and owner.flags.owndata and not owner.flags.writeable):
+                value = np.array(value, dtype=kind)
+                value.setflags(write=False)
+        object.__setattr__(record, name, value)
 
 
 def _eq_by_value(self: Any, other: object) -> bool:
@@ -97,17 +103,14 @@ class PricePanel:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        prices = _as_readonly(self.prices)
-        object.__setattr__(self, "prices", prices)
-        if prices.shape != (len(self.dates), len(self.tickers)):
+        _freeze(self, dates=tuple, tickers=tuple, prices=np.float64)
+        if self.prices.shape != (len(self.dates), len(self.tickers)):
             raise ValueError(
-                f"price matrix shape {prices.shape} does not match "
+                f"price matrix shape {self.prices.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.tickers)} tickers"
             )
         _check_axes(self.dates, self.tickers)
-        if _any_nonpositive_or_infinite(prices):
+        if _any_nonpositive_or_infinite(self.prices):
             raise ValueError("present prices must be strictly positive and finite")
 
     @property
@@ -143,20 +146,17 @@ class PerformancePanel:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        values = _as_readonly(self.values)
-        object.__setattr__(self, "values", values)
-        if values.shape != (len(self.dates), len(self.tickers)):
+        _freeze(self, dates=tuple, tickers=tuple, values=np.float64)
+        if self.values.shape != (len(self.dates), len(self.tickers)):
             raise ValueError("value matrix shape does not match axes")
         _check_axes(self.dates, self.tickers)
         # the dates strictly increase: only the first can be the reference date
         if self.dates and self.dates[0] < self.ref_date:
             raise ValueError("all dates must be on or after the reference date")
-        if _any_nonpositive(values):
+        if _any_nonpositive(self.values):
             raise ValueError("performance values must be strictly positive")
         if self.dates and self.dates[0] == self.ref_date:
-            row = values[0]
+            row = self.values[0]
             if not np.all(row[np.isfinite(row)] == 1.0):
                 raise ValueError("the reference-date row must be identically 1")
 
@@ -271,11 +271,10 @@ class SurvivalCurve:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        values = _as_readonly(self.sorted_values)
-        object.__setattr__(self, "sorted_values", values)
-        if values.size == 0:
+        _freeze(self, sorted_values=np.float64)
+        if self.sorted_values.size == 0:
             raise EmptyCrossSection("survival curve needs at least one value")
-        if np.any(np.diff(values) < 0):
+        if np.any(np.diff(self.sorted_values) < 0):
             raise ValueError("sorted_values must be ascending")
 
     @property
@@ -365,12 +364,7 @@ class DispersionSeries:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "mean", _as_readonly(self.mean))
-        object.__setattr__(self, "variance", _as_readonly(self.variance))
-        count = np.array(self.count, dtype=np.int64)
-        count.setflags(write=False)
-        object.__setattr__(self, "count", count)
+        _freeze(self, dates=tuple, mean=np.float64, variance=np.float64, count=np.int64)
         n = len(self.dates)
         if not (self.mean.shape == self.variance.shape == self.count.shape == (n,)):
             raise ValueError("series arrays must all match the number of dates")

@@ -21,7 +21,7 @@ every chunk of every block it runs, which also keeps the allocator from
 handing pages back and faulting them in again. Memory is about two
 chunks per worker (draws and the variance step's deviations; a full
 matrix adds its samples and its n x n square root) plus 8 bytes per
-replication, whatever the replication count.
+replication for ``SimResult.per_rep``, whatever the replication count.
 
 Sampling honors the declared correlation structure exactly. An
 equicorrelation matrix R has the closed-form symmetric square root
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSD, NumericalError, TooFewStocks, ZeroReps
-from .panel import CHUNK_BYTES, FloatArray, _eq_by_value, dispersion_values
+from .panel import CHUNK_BYTES, FloatArray, _eq_by_value, _freeze, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
 REPLICATION_BLOCK = 1024
@@ -80,8 +80,8 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     """Replication summary: mean, standard error and variance of the
-    per-replication dispersion ``per_rep``, plus the generating config.
-    se_vn is sqrt(var_vn / reps)."""
+    per-replication dispersion ``per_rep`` (a read-only array), plus the
+    generating config. se_vn is sqrt(var_vn / reps)."""
 
     mean_vn: float
     se_vn: float
@@ -89,6 +89,9 @@ class SimResult:
     config: SimConfig
     per_rep: FloatArray
     __eq__ = _eq_by_value
+
+    def __post_init__(self) -> None:
+        _freeze(self, per_rep=np.float64)
 
 
 @dataclass(frozen=True)
@@ -171,11 +174,6 @@ def _make_sampler(spec: CorrelationSpec):
         return x
 
     return general
-
-
-def sample_gaussian_vector(spec: CorrelationSpec, rng: np.random.Generator) -> FloatArray:
-    """One correlated Gaussian cross-section drawn from ``rng``."""
-    return sample_gaussian_matrix(spec, rng, 1)[0]
 
 
 def sample_gaussian_matrix(
@@ -273,6 +271,7 @@ def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
     if not (math.isfinite(mean_vn) and (reps == 1 or math.isfinite(var_vn))):
         raise NumericalError("simulated mean_vn or var_vn is outside the range of a double")
     se_vn = math.sqrt(var_vn / reps) if reps > 1 else float("nan")
+    values.setflags(write=False)  # so that SimResult adopts it
     return SimResult(
         mean_vn=mean_vn,
         se_vn=se_vn,

@@ -41,7 +41,7 @@ from .errors import (
     TooFewTailPoints,
     WindowTooLarge,
 )
-from .panel import FloatArray, PerformancePanel, SurvivalCurve, _eq_by_value
+from .panel import FloatArray, PerformancePanel, SurvivalCurve, _eq_by_value, _freeze
 
 HILL = "hill"
 LOGLOG = "loglog"
@@ -106,9 +106,7 @@ class HillSweep:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        for name, dtype in (("k", np.intp), ("alpha", np.float64)):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
-            getattr(self, name).setflags(write=False)
+        _freeze(self, k=np.intp, alpha=np.float64)
         if self.k.ndim != 1 or self.k.shape != self.alpha.shape or not np.all(
                 (0 < self.k) & (0.0 < self.alpha) & (self.alpha < np.inf)):
             raise ValueError("need 1-d columns: one k > 0 per finite alpha > 0")
@@ -128,7 +126,7 @@ def hill_k_sweep(x: npt.ArrayLike, k_values: list[int] | None = None) -> HillSwe
     ks = np.arange(1, n) if k_values is None else np.asarray(k_values)
     if not ks.size:
         return HillSweep(k=ks, alpha=np.empty(0))
-    if ks.dtype.kind not in "biu":
+    if ks.dtype.kind not in "iu":
         raise TypeError(f"k must be an integer, got {ks.dtype} values")
     bad = (ks < 1) | (ks >= n)
     if bad[0]:
@@ -284,10 +282,7 @@ class TailSeries:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        for name, dtype in (("alpha", np.float64), ("k", np.intp), ("n", np.intp)):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
-            getattr(self, name).setflags(write=False)
+        _freeze(self, dates=tuple, alpha=np.float64, k=np.intp, n=np.intp)
         if not self.alpha.shape == self.k.shape == self.n.shape == (len(self.dates),):
             raise ValueError("one alpha, k and n per date required")
         estimate = (0 < self.k) & (self.k < self.n) & (0.0 < self.alpha) & (self.alpha < np.inf)

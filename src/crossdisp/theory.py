@@ -23,7 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import DimensionMismatch, NoLimit
-from .panel import _eq_by_value
+from .panel import _eq_by_value, _freeze
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -47,9 +47,8 @@ class FullMatrix:
     __eq__ = _eq_by_value
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.float64)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _freeze(self, matrix=np.float64)
+        m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"correlation matrix must be square, got {m.shape}")
         if not np.array_equal(m, m.T):
@@ -73,23 +72,18 @@ class CorrelationSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("universe size must be at least 1")
-        means = np.array(self.means, dtype=np.float64)
-        sigmas = np.array(self.sigmas, dtype=np.float64)
-        means.setflags(write=False)
-        sigmas.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "sigmas", sigmas)
-        if means.shape != (self.n,):
+        _freeze(self, means=np.float64, sigmas=np.float64)
+        if self.means.shape != (self.n,):
             raise DimensionMismatch(
-                f"means has shape {means.shape}, expected ({self.n},)"
+                f"means has shape {self.means.shape}, expected ({self.n},)"
             )
-        if sigmas.shape != (self.n,):
+        if self.sigmas.shape != (self.n,):
             raise DimensionMismatch(
-                f"sigmas has shape {sigmas.shape}, expected ({self.n},)"
+                f"sigmas has shape {self.sigmas.shape}, expected ({self.n},)"
             )
-        if np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0.0):
+        if np.any(~np.isfinite(self.sigmas)) or np.any(self.sigmas <= 0.0):
             raise ValueError("sigmas must be strictly positive and finite")
-        if np.any(~np.isfinite(means)):
+        if np.any(~np.isfinite(self.means)):
             raise ValueError("means must be finite")
         if isinstance(self.structure, FullMatrix):
             if self.structure.matrix.shape != (self.n, self.n):

@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,25 @@ def test_equal_multi_date_series_and_reports_compare_equal(gappy_panel):
     assert first.dispersion != dispersion_series(normalize_panel(gappy_panel, dates[1]))
 
 
+def test_sweep_result_rejects_a_sub_series_its_csv_would_misalign(tiny_panel):
+    sweep = tref_sweep(tiny_panel, [tiny_panel.dates[0]])
+    (entry,) = sweep.entries
+    disp, tails = entry.dispersion, entry.tails
+    later = tuple(when + dt.timedelta(days=365) for when in tails.dates)
+    bad = [
+        (disp, replace(tails, dates=later)),  # tails dated in another year
+        (disp, replace(tails, dates=tails.dates[:-1], alpha=tails.alpha[:-1],
+                       k=tails.k[:-1], n=tails.n[:-1])),  # a shorter tail series
+        (disp, replace(tails, k_policy=KPolicy(fraction=0.5))),  # not the sweep's k policy
+        (replace(disp, dates=(), mean=[], variance=[], count=[]),
+         replace(tails, dates=(), alpha=[], k=[], n=[])),  # no dates at all
+    ]
+    for dispersion, tail in bad:
+        with pytest.raises(ValueError):
+            replace(sweep, entries=(replace(entry, dispersion=dispersion, tails=tail),))
+    assert replace(sweep, entries=(replace(entry),)) == sweep
+
+
 def test_sweep_absent_ref_names_date(tiny_panel):
     with pytest.raises(RefDateAbsent) as err:
         tref_sweep(tiny_panel, [d("1999-01-01")])
@@ -446,14 +466,10 @@ def test_sim_result_documents():
 
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(10, 0.5), reps=20, seed=17)
     res = simulate_dispersion(cfg)
-    doc = document(res)
-    assert doc["meta"]["kind"] == "simulation"
-    assert doc["meta"]["rho"] == 0.5
-    assert doc["meta"]["seed"] == 17
-    assert doc["result"]["mean_vn"] == res.mean_vn
-    lines = render_report(res, fmt="csv").strip().split("\n")
-    assert lines[0] == "mean_vn,se_vn,var_vn,reps,seed"
-    assert float(lines[1].split(",")[0]) == res.mean_vn
+    # the simulate command writes a RhoSweepTable; a bare SimResult has no report layout
+    for fmt in ("json", "csv"):
+        with pytest.raises(TypeError):
+            render_report(res, fmt)
 
 
 def test_rho_sweep_table_documents():

@@ -11,12 +11,19 @@ from hypothesis import strategies as st
 
 from crossdisp import (
     COMPLETE_ONLY,
+    CorrelationSpec,
     DataError,
+    DispersionSeries,
     EmptyCrossSection,
+    FullMatrix,
+    HillSweep,
     PerformancePanel,
     PricePanel,
     RefDateAbsent,
+    SimConfig,
+    SimResult,
     SurvivalCurve,
+    TailSeries,
     TooFewStocks,
     cross_sectional_moments,
     dispersion_series,
@@ -26,6 +33,8 @@ from crossdisp import (
     survival_curve,
     survival_value,
 )
+
+from crossdisp.theory import Equicorrelation
 
 from conftest import d
 
@@ -56,29 +65,64 @@ def test_price_panel_ignores_missing_prices():
     np.testing.assert_array_equal(panel.prices, prices)
 
 
-def test_price_panel_copies_what_a_caller_can_still_write():
-    dates, tickers = (d("2003-01-02"), d("2003-01-03")), ("A", "B")
-    prices = np.array([[1.0, 2.0], [3.0, np.nan]])
-    read_only_view = prices[:]
+D2 = (d("2003-01-02"), d("2003-01-03"))
+# each record, one of its array fields, a valid value for it and the record's other fields
+FROZEN_FIELDS = {
+    "PricePanel.prices": (PricePanel, "prices", [[1.0, 2.0], [3.0, np.nan]],
+                          dict(dates=D2, tickers=("A", "B"))),
+    "PerformancePanel.values": (PerformancePanel, "values", [[1.0, 1.0], [3.0, np.nan]],
+                                dict(ref_date=D2[0], dates=D2, tickers=("A", "B"))),
+    "SurvivalCurve.sorted_values": (SurvivalCurve, "sorted_values", [1.0, 2.5], {}),
+    "DispersionSeries.mean": (DispersionSeries, "mean", [1.0, 2.0],
+                              dict(dates=D2, variance=[0.0, 1.0], count=[2, 3])),
+    "DispersionSeries.variance": (DispersionSeries, "variance", [0.0, 1.0],
+                                  dict(dates=D2, mean=[1.0, 2.0], count=[2, 3])),
+    "DispersionSeries.count": (DispersionSeries, "count", [2, 3],
+                               dict(dates=D2, mean=[1.0, 2.0], variance=[0.0, 1.0])),
+    "TailSeries.alpha": (TailSeries, "alpha", [np.nan, 1.5], dict(dates=D2, k=[0, 1], n=[3, 3])),
+    "TailSeries.k": (TailSeries, "k", [0, 1], dict(dates=D2, alpha=[np.nan, 1.5], n=[3, 3])),
+    "TailSeries.n": (TailSeries, "n", [3, 4], dict(dates=D2, alpha=[np.nan, 1.5], k=[0, 1])),
+    "HillSweep.k": (HillSweep, "k", [1, 2], dict(alpha=[1.5, 2.0])),
+    "HillSweep.alpha": (HillSweep, "alpha", [1.5, 2.0], dict(k=[1, 2])),
+    "FullMatrix.matrix": (FullMatrix, "matrix", [[1.0, 0.5], [0.5, 1.0]], {}),
+    "CorrelationSpec.means": (CorrelationSpec, "means", [0.0, 1.0],
+                              dict(n=2, sigmas=[1.0, 2.0], structure=Equicorrelation(0.5))),
+    "CorrelationSpec.sigmas": (CorrelationSpec, "sigmas", [1.0, 2.0],
+                               dict(n=2, means=[0.0, 1.0], structure=Equicorrelation(0.5))),
+    "SimResult.per_rep": (SimResult, "per_rep", [0.5, 1.5],
+                          dict(mean_vn=1.0, se_vn=0.5, var_vn=0.5,
+                               config=SimConfig(CorrelationSpec.equicorrelated(2, 0.5), 2, 0))),
+}
+
+
+@pytest.mark.parametrize("case", FROZEN_FIELDS.values(), ids=FROZEN_FIELDS)
+def test_a_record_copies_what_a_caller_can_still_write(case):
+    record, name, value, others = case
+    caller = np.array(value)
+    read_only_view = caller[:]
     read_only_view.setflags(write=False)
-    panels = [PricePanel(dates, tickers, prices), PricePanel(dates, tickers, read_only_view),
-              PricePanel(dates, tickers, prices.tolist())]
-    prices[0, 0] = 7.0  # the caller's array changes; no panel does
-    for panel in panels:
-        assert panel.prices is not prices and panel.prices is not read_only_view
-        assert panel.prices[0, 0] == 1.0 and not panel.prices.flags.writeable
+    arrays = [getattr(record(**others, **{name: given}), name)
+              for given in (caller, read_only_view, value)]
+    first = caller.flat[0]
+    caller.flat[0] = 7  # the caller's array changes; no record does
+    for arr in arrays:
+        assert arr is not caller and arr is not read_only_view
+        assert np.array_equal(arr.flat[0], first, equal_nan=True) and not arr.flags.writeable
 
 
-def test_price_panel_adopts_a_read_only_array_nothing_else_writes():
-    dates, tickers = (d("2003-01-02"), d("2003-01-03")), ("A", "B")
-    owned = np.array([[1.0, 2.0], [3.0, np.nan]])
+@pytest.mark.parametrize("case", FROZEN_FIELDS.values(), ids=FROZEN_FIELDS)
+def test_a_record_adopts_a_read_only_array_nothing_else_writes(case):
+    record, name, value, others = case
+    owned = np.array(value)
     owned.setflags(write=False)
-    transposed = np.array([[1.0, 3.0], [2.0, 4.0]])
+    transposed = np.array(value).T.copy()
     transposed.setflags(write=False)
-    assert PricePanel(dates, tickers, owned).prices is owned
+    assert getattr(record(**others, **{name: owned}), name) is owned
     # a read-only view of a read-only array that owns its data, such as its transpose
-    assert PricePanel(dates, tickers, transposed.T).prices.base is transposed
-    assert PricePanel(dates, tickers, owned.astype(np.float32)).prices.dtype == np.float64
+    assert getattr(record(**others, **{name: transposed.T}), name).base is transposed
+    narrow = owned.astype(np.float32 if owned.dtype.kind == "f" else np.int32)
+    widened = getattr(record(**others, **{name: narrow}), name)
+    assert widened.dtype == owned.dtype and np.array_equal(widened, owned, equal_nan=True)
 
 
 def test_price_panel_construction_peak_memory():

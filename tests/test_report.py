@@ -30,16 +30,12 @@ from hypothesis import strategies as st
 
 from crossdisp import (
     AnalysisReport,
-    CorrelationSpec,
     DispersionSeries,
     ExtremeEvent,
-    FullMatrix,
     HillSweep,
     KPolicy,
     RhoSweepRow,
     RhoSweepTable,
-    SimConfig,
-    SimResult,
     SurvivalCurve,
     SweepEntry,
     SweepResult,
@@ -50,7 +46,6 @@ from crossdisp import (
     write_report,
 )
 from crossdisp import io as report_io
-from crossdisp.theory import Equicorrelation
 from crossdisp.tails import HILL, LOCAL_MAXIMUM, LOCAL_MINIMUM, LOGLOG
 
 # ---------------------------------------------------------------------------
@@ -150,17 +145,6 @@ def ref_to_document(result):
                 for entry in result.entries
             ],
         }
-    if isinstance(result, SimResult):
-        spec = result.config.spec
-        meta = {"n": spec.n, "reps": result.config.reps, "seed": result.config.seed}
-        if isinstance(spec.structure, Equicorrelation):
-            meta["rho"] = spec.structure.rho
-            meta["sigma"] = ref_jf(float(spec.sigmas[0]))
-        return {
-            "meta": ref_meta("simulation", **meta),
-            "result": {"mean_vn": ref_jf(result.mean_vn), "se_vn": ref_jf(result.se_vn),
-                       "var_vn": ref_jf(result.var_vn)},
-        }
     if isinstance(result, RhoSweepTable):
         return {
             "meta": ref_meta("rho-sweep", n=result.n, reps=result.reps,
@@ -215,12 +199,6 @@ def ref_to_csv(result):
                              float(alphas[i]), est.k if est is not None else None])
         return ref_csv_from_rows(
             ["ref_date", "date", "mean", "variance", "count", "alpha", "k"], rows)
-    if isinstance(result, SimResult):
-        return ref_csv_from_rows(
-            ["mean_vn", "se_vn", "var_vn", "reps", "seed"],
-            [[result.mean_vn, result.se_vn, result.var_vn,
-              result.config.reps, result.config.seed]],
-        )
     if isinstance(result, RhoSweepTable):
         return ref_csv_from_rows(
             ["rho", "mean_vn", "se_vn", "expected", "source"],
@@ -303,10 +281,11 @@ def tail_columns(draw) -> tuple[float, int, int]:
 
 
 @st.composite
-def tail_series_at(draw, start: dt.date, n: int) -> TailSeries:
+def tail_series_at(draw, start: dt.date, n: int, k_policy: KPolicy | None = None) -> TailSeries:
     rows = draw(st.lists(tail_columns(), min_size=n, max_size=n))
     return TailSeries(dates=dates_from(start, n), alpha=[r[0] for r in rows],
-                      k=[r[1] for r in rows], n=[r[2] for r in rows], k_policy=draw(k_policies))
+                      k=[r[1] for r in rows], n=[r[2] for r in rows],
+                      k_policy=draw(k_policies) if k_policy is None else k_policy)
 
 
 @st.composite
@@ -335,31 +314,16 @@ def sweep_results(draw) -> SweepResult:
     refs = [START]
     for gap in gaps:
         refs.append(refs[-1] + dt.timedelta(days=gap))
+    k_policy = draw(k_policies)
     entries = []
     for ref in refs:
         n = draw(st.integers(1, 8))
         entries.append(SweepEntry(ref_date=ref, dispersion=draw(dispersion_series_at(ref, n)),
-                                  tails=draw(tail_series_at(ref, n))))
+                                  tails=draw(tail_series_at(ref, n, k_policy))))
     universe = tuple(f"S{i}" for i in range(draw(st.integers(1, 20))))
     return SweepResult(entries=tuple(entries), universe=universe,
                        policy=draw(st.sampled_from(["drop-at-ref", "complete-only"])),
-                       k_policy=draw(k_policies))
-
-
-@st.composite
-def sim_results(draw) -> SimResult:
-    n = draw(st.integers(2, 6))
-    if draw(st.booleans()):
-        spec = CorrelationSpec.equicorrelated(n, draw(st.floats(-0.2, 1.0)),
-                                              draw(st.floats(0.01, 100.0)))
-    else:
-        spec = CorrelationSpec(n=n, means=np.zeros(n), sigmas=np.ones(n),
-                               structure=FullMatrix(np.eye(n)))
-    config = SimConfig(spec=spec, reps=draw(st.integers(0, 10**6)),
-                       seed=draw(st.integers(0, 2**64 - 1)))
-    # no report writes per_rep
-    return SimResult(mean_vn=draw(any_float), se_vn=draw(any_float), var_vn=draw(any_float),
-                     config=config, per_rep=np.array([]))
+                       k_policy=k_policy)
 
 
 rho_rows = st.builds(RhoSweepRow, rho=st.floats(-1.0, 1.0), mean_vn=any_float,
@@ -379,7 +343,6 @@ reports = st.one_of(
     survival_curves,
     analysis_reports(),
     sweep_results(),
-    sim_results(),
     rho_tables,
     event_lists(),
     event_lists().map(tuple),

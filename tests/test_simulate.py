@@ -20,7 +20,6 @@ from crossdisp import (
     equicorrelation_dispersion_variance,
     expected_dispersion,
     sample_gaussian_matrix,
-    sample_gaussian_vector,
     simulate_dispersion,
     validate_feasibility,
     variance_decay_study,
@@ -122,7 +121,7 @@ def test_sample_covariance_matches_spec(structure):
 
 def test_sample_vector_shape():
     spec = CorrelationSpec.equicorrelated(7, 0.5)
-    x = sample_gaussian_vector(spec, np.random.default_rng(0))
+    x = sample_gaussian_matrix(spec, np.random.default_rng(0), 1)[0]
     assert x.shape == (7,)
 
 
@@ -242,7 +241,7 @@ def test_two_workers_reduce_chunks_on_two_threads(reps, monkeypatch):
 ], ids=["homogeneous", "heterogeneous", "full-matrix"])
 def test_per_rep_always_matches_mean_and_variance(spec, workers):
     kept = simulate_dispersion(SimConfig(spec=spec, reps=2050, seed=0), workers=workers)
-    assert kept.per_rep.shape == (2050,)
+    assert kept.per_rep.shape == (2050,) and not kept.per_rep.flags.writeable
     assert kept.mean_vn == pytest.approx(float(kept.per_rep.mean()), rel=1e-15)
     assert kept.var_vn == pytest.approx(float(kept.per_rep.var(ddof=1)), rel=1e-12)
     assert kept.se_vn == pytest.approx(math.sqrt(kept.var_vn / 2050), rel=1e-15)

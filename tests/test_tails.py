@@ -105,8 +105,9 @@ def test_hill_bad_k():
         hill_estimator(xs, 3)
     with pytest.raises(BadK):
         hill_estimator(xs, -1)
-    with pytest.raises(TypeError):  # not cut to an estimate at k = 1
-        hill_estimator(xs, 1.5)
+    for k in (1.5, True):  # neither is cut nor cast to an estimate at k = 1
+        with pytest.raises(TypeError):
+            hill_estimator(xs, k)
     with pytest.raises(TypeError):
         hill_k_sweep(xs, [1, 1.5])
 
