@@ -113,14 +113,6 @@ class PricePanel:
         if _any_nonpositive_or_infinite(self.prices):
             raise ValueError("present prices must be strictly positive and finite")
 
-    @property
-    def n_dates(self) -> int:
-        return len(self.dates)
-
-    @property
-    def n_stocks(self) -> int:
-        return len(self.tickers)
-
     def date_index(self, when: dt.date) -> int:
         """Row index of ``when``; raises RefDateAbsent if not in the panel."""
         try:
@@ -201,7 +193,7 @@ def performance_chunks(
     # Chunks are column-major and hold two dates or more (the whole panel aside), so
     # numpy sums each date's row in order, as in one matrix; a lone row it sums pairwise.
     step = max(2, CHUNK_BYTES // (8 * n_kept))
-    stops = [*range(row + step, panel.n_dates - 1, step), panel.n_dates]
+    stops = [*range(row + step, len(panel.dates) - 1, step), len(panel.dates)]
     for lo, hi in zip([row, *stops], stops):
         block = panel.prices[lo:hi].T[keep]  # stocks by dates: one copy, divided in place
         with np.errstate(over="ignore"):

@@ -32,7 +32,8 @@ at every feasible rho, so its cross-sections are formed in place, in
 O(n) per row, as X_i = m_i + sigma_i (sqrt(1 - rho) z_i + b sum_j z_j).
 A full matrix goes through an eigendecomposition of its covariance.
 Infeasible structures (smallest correlation eigenvalue below -1e-10) are
-rejected before any sampling happens.
+rejected by one gate, before anything is drawn and whatever the sigmas:
+both entry points take their sampling plan from ``_make_sampler``.
 
 A homogeneous universe (equicorrelation with one sigma and one mean,
 which is what the CLI and ``variance_decay_study`` build) is never
@@ -128,26 +129,27 @@ def validate_feasibility(spec: CorrelationSpec) -> FeasibilityReport:
 
 
 def _symmetric_sqrt(spec: CorrelationSpec) -> FloatArray:
-    cov = spec.covariance_matrix()
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    scale = max(1.0, float(eigvals[-1]))
-    if eigvals[0] < -FEASIBILITY_TOL * scale:
-        raise NotPSD(f"covariance eigenvalue {eigvals[0]} is negative beyond tolerance")
+    eigvals, eigvecs = np.linalg.eigh(spec.covariance_matrix())
     rooted = np.sqrt(np.clip(eigvals, 0.0, None))
     return (eigvecs * rooted) @ eigvecs.T
 
 
 def _make_sampler(spec: CorrelationSpec):
-    """Build transform(z), which turns a (rows, n) standard-normal matrix z
-    into correlated samples. Equicorrelation overwrites z in place and
-    returns it; a full matrix returns a new matrix."""
+    """The sampling plan of ``spec``, (transform, scale), behind the one
+    feasibility gate: an infeasible spec raises NotPSD with the detail of
+    ``validate_feasibility``. transform(z) turns a (rows, n) standard-normal
+    matrix z into correlated samples; equicorrelation overwrites z in place
+    and returns it, a full matrix returns a new matrix. scale is
+    (1 - rho) sigma^2 for a homogeneous equicorrelated spec, whose draws
+    need no transform, else None; it overflows to inf rather than raising,
+    so an out-of-range dispersion ends in a NumericalError."""
+    report = validate_feasibility(spec)
+    if not report.feasible:
+        raise NotPSD(report.detail)
     means = spec.means
     sigmas = spec.sigmas
     structure = spec.structure
     if isinstance(structure, Equicorrelation):
-        report = validate_feasibility(spec)
-        if not report.feasible:
-            raise NotPSD(report.detail)
         rho = structure.rho
         # R^(1/2) = w I + b J: R has eigenvalue 1 - rho, and 1 + (n - 1) rho
         # along the all-ones direction
@@ -164,7 +166,9 @@ def _make_sampler(spec: CorrelationSpec):
             z += means
             return z
 
-        return equicorrelated
+        homogeneous = np.all(sigmas == sigmas[0]) and np.all(means == means[0])
+        idio_sigma = w * float(sigmas[0])
+        return equicorrelated, idio_sigma * idio_sigma if homogeneous else None
 
     root = _symmetric_sqrt(spec)
 
@@ -173,14 +177,16 @@ def _make_sampler(spec: CorrelationSpec):
         x += means
         return x
 
-    return general
+    return general, None
 
 
 def sample_gaussian_matrix(
     spec: CorrelationSpec, rng: np.random.Generator, rows: int
 ) -> FloatArray:
-    """Stack of ``rows`` independent cross-sections, one per row."""
-    return _make_sampler(spec)(rng.standard_normal((rows, spec.n)))
+    """Stack of ``rows`` independent cross-sections, one per row; an
+    infeasible spec raises NotPSD before anything is drawn."""
+    transform, _ = _make_sampler(spec)
+    return transform(rng.standard_normal((rows, spec.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +200,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
     )
-
-
-def _idiosyncratic_scale(spec: CorrelationSpec) -> float | None:
-    """(1 - rho) sigma^2 for a homogeneous equicorrelated spec, else None.
-
-    It overflows to inf rather than raising, so an out-of-range dispersion
-    ends in the NumericalError of ``simulate_dispersion``.
-    """
-    structure = spec.structure
-    if not isinstance(structure, Equicorrelation):
-        return None
-    sigma, mean = spec.sigmas[0], spec.means[0]
-    if np.any(spec.sigmas != sigma) or np.any(spec.means != mean):
-        return None
-    idio_sigma = math.sqrt(1.0 - structure.rho) * float(sigma)
-    return idio_sigma * idio_sigma
 
 
 def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
@@ -226,14 +216,10 @@ def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
     """
     if config.reps < 1:
         raise ZeroReps(config.reps)
-    report = validate_feasibility(config.spec)
-    if not report.feasible:
-        raise NotPSD(report.detail)
     spec = config.spec
+    transform, scale = _make_sampler(spec)
     if spec.n < 2:
         raise TooFewStocks(spec.n, 2)
-    scale = _idiosyncratic_scale(spec)
-    transform = _make_sampler(spec) if scale is None else None
     rows = max(1, CHUNK_BYTES // (8 * spec.n))
     reps = config.reps
     values = np.empty(reps, dtype=np.float64)
@@ -252,7 +238,7 @@ def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
                 for lo in range(start, stop, rows):
                     size = min(rows, stop - lo)
                     rng.standard_normal(out=z[:size])
-                    chunk = z[:size] if transform is None else transform(z[:size])
+                    chunk = z[:size] if scale is not None else transform(z[:size])
                     values[lo:lo + size] = dispersion_values(chunk)
 
     if scale == 0.0:

@@ -23,9 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import DimensionMismatch, NoLimit
-from .panel import _eq_by_value, _freeze
-
-FloatArray = npt.NDArray[np.float64]
+from .panel import FloatArray, _eq_by_value, _freeze
 
 
 @dataclass(frozen=True)

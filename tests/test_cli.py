@@ -189,9 +189,11 @@ def test_several_table_csv_to_stdout_raises_before_the_first_byte(small_csv, cap
 
 
 def test_reversed_year_range_is_named(capsys):
-    assert main(["sweep", "p.csv", "--years", "2000,2008-1998"]) == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines()[-1].endswith(
-        "argument --years: empty year range 2008-1998")
+    # and so is a year list with no year in it
+    for years, message in [("2000,2008-1998", "empty year range 2008-1998"),
+                           (",", "no years given")]:
+        assert main(["sweep", "p.csv", "--years", years]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --years: {message}")
 
 
 def test_huge_year_range_exits_without_expanding_it(small_csv, capsys):

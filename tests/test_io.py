@@ -264,6 +264,9 @@ def test_sweep_result_rejects_a_sub_series_its_csv_would_misalign(tiny_panel):
         with pytest.raises(ValueError):
             replace(sweep, entries=(replace(entry, dispersion=dispersion, tails=tail),))
     assert replace(sweep, entries=(replace(entry),)) == sweep
+    two = tref_sweep(tiny_panel, list(tiny_panel.dates[:2]))
+    with pytest.raises(ValueError, match="reference dates must be strictly increasing"):
+        replace(two, entries=two.entries[::-1])
 
 
 def test_sweep_absent_ref_names_date(tiny_panel):

@@ -494,3 +494,43 @@ def test_dispersion_series_undefined_below_two_stocks():
     assert math.isnan(series.variance[1])
     assert series.mean[1] == 2.0
     assert math.isnan(series.mean[2])
+
+
+# ---------------------------------------------------------------------------
+# rejected inputs
+# ---------------------------------------------------------------------------
+
+
+# each call, the error it raises and a fragment of its message
+REJECTED = {
+    "duplicate tickers": (lambda: PricePanel(D2, ("A", "A"), [[1.0, 2.0], [3.0, 4.0]]),
+                          ValueError, "tickers must be unique"),
+    "price shape": (lambda: PricePanel(D2, ("A", "B"), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                    ValueError, "does not match 2 dates x 2 tickers"),
+    "performance shape": (lambda: PerformancePanel(D2[0], D2, ("A", "B"), [[1.0, 1.0, 1.0]]),
+                          ValueError, "value matrix shape does not match axes"),
+    "performance not positive": (
+        lambda: PerformancePanel(D2[0], D2, ("A", "B"), [[1.0, 1.0], [2.0, -1.0]]),
+        ValueError, "performance values must be strictly positive"),
+    "empty survival curve": (lambda: SurvivalCurve(sorted_values=[]),
+                             EmptyCrossSection, "needs at least one value"),
+    "pairwise of one": (lambda: pairwise_dispersion([1.0]),
+                        TooFewStocks, "need at least 2 stocks, found 1"),
+    "dispersion of a vector": (lambda: dispersion_values([1.0, 2.0]),
+                               ValueError, "expected a 2-d matrix"),
+    "dispersion of one column": (lambda: dispersion_values([[1.0], [2.0]]),
+                                 TooFewStocks, "need at least 2 stocks, found 1"),
+    "series lengths": (lambda: DispersionSeries(D2, [1.0], [0.0, 1.0], [2, 2]),
+                       ValueError, "must all match the number of dates"),
+    "negative variance": (lambda: DispersionSeries(D2, [1.0, 1.0], [0.0, -1.0], [2, 2]),
+                          ValueError, "variance cannot be negative"),
+    "variance of one stock": (lambda: DispersionSeries(D2, [1.0, 1.0], [0.0, 1.0], [2, 1]),
+                              ValueError, "variance requires at least two stocks"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED.values(), ids=REJECTED)
+def test_rejected_input_raises(case):
+    call, error, fragment = case
+    with pytest.raises(error, match=fragment):
+        call()

@@ -70,6 +70,43 @@ def test_simulate_rejects_infeasible():
         simulate_dispersion(cfg)
 
 
+# off-diagonals -0.5 - delta put the smallest correlation eigenvalue at -2 delta,
+# so the gate's -1e-10 lies between delta = 4e-11 and 6e-11; at n = 5 the
+# equicorrelation bound is -1/4 and the smallest eigenvalue 1 + 4 rho
+_VERDICT_CASES = {
+    **{f"full-delta={delta:g}": (FullMatrix(np.array([[1.0, -0.5 - delta, -0.5 - delta],
+                                                      [-0.5 - delta, 1.0, -0.5 - delta],
+                                                      [-0.5 - delta, -0.5 - delta, 1.0]])),
+                                 delta < 5e-11)
+       for delta in (0.0, 2e-11, 4e-11, 6e-11, 1e-10, 1e-9)},
+    **{f"equi-rho={rho!r}": (Equicorrelation(rho), rho >= -0.25 - 2.5e-11)
+       for rho in (-0.2, -0.25, -0.25 - 1e-11, -0.25 - 1e-9, -0.3)},
+}
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.5], ids=["one-sigma", "several-sigmas"])
+@pytest.mark.parametrize("sigma", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("case", sorted(_VERDICT_CASES))
+def test_every_entry_point_takes_the_gate_verdict(case, sigma, spread):
+    structure, feasible = _VERDICT_CASES[case]
+    n = 3 if isinstance(structure, FullMatrix) else 5
+    sigmas = sigma * (1.0 + spread * np.arange(n))
+    spec = CorrelationSpec(n=n, means=np.zeros(n), sigmas=sigmas, structure=structure)
+    report = validate_feasibility(spec)
+    assert report.feasible is feasible
+    entry_points = [
+        lambda: sample_gaussian_matrix(spec, np.random.default_rng(0), 4),
+        lambda: simulate_dispersion(SimConfig(spec=spec, reps=4, seed=0)),
+    ]
+    for call in entry_points:
+        if feasible:
+            call()
+        else:
+            with pytest.raises(NotPSD) as raised:
+                call()
+            assert str(raised.value) == report.detail
+
+
 def test_zero_reps():
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(10, 0.0), reps=0, seed=0)
     with pytest.raises(ZeroReps):

@@ -626,3 +626,27 @@ def test_detect_extremes_matches_loop_reference(series, window, with_dates):
     want = reference_detect_extremes(series, window, dates=dates)
     assert got == want
     assert [type(e.date) for e in got] == [type(e.date) for e in want]
+
+
+# each call, the error it raises and a fragment of its message
+REJECTED = {
+    "unknown method": (lambda: TailEstimate(alpha=1.0, k=1, n=3, method="moment"),
+                       ValueError, "unknown method: 'moment'"),
+    "slope lengths": (lambda: powerlaw_slope([1.0, 2.0, 3.0], [0.5, 0.2]),
+                      ValueError, "1-d arrays of equal length"),
+    "slope at zero": (lambda: powerlaw_slope([0.0, 1.0, 2.0], [0.9, 0.5, 0.2]),
+                      ValueError, "strictly positive z and s"),
+    "one threshold": (lambda: powerlaw_slope([2.0, 2.0, 2.0], [0.5, 0.4, 0.3]),
+                      ValueError, "thresholds must not all coincide"),
+    "extremes of a matrix": (lambda: detect_extremes([[1.0, 2.0, 1.0]], 1),
+                             ValueError, "expected a 1-d series"),
+    "extremes misdated": (lambda: detect_extremes([1.0, 2.0, 1.0], 1, dates=(d("2003-01-02"),)),
+                          ValueError, "dates must align with the series"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED.values(), ids=REJECTED)
+def test_rejected_input_raises(case):
+    call, error, fragment = case
+    with pytest.raises(error, match=fragment):
+        call()

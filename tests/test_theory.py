@@ -167,11 +167,37 @@ def test_specs_compare_by_value():
     assert CorrelationSpec.with_matrix(m) == CorrelationSpec.with_matrix(m.copy())
     assert CorrelationSpec.with_matrix(m) != CorrelationSpec.with_matrix(np.eye(2))
     assert CorrelationSpec.with_matrix(m) != CorrelationSpec.with_matrix(m, sigmas=[1.0, 2.0])
+    assert spec != "spec" and FullMatrix(m) != spec  # another type is never equal
 
 
 def test_equicorrelation_range_validation():
     with pytest.raises(ValueError):
         Equicorrelation(1.2)
+
+
+def _spec(n=2, means=(0.0, 0.0), sigmas=(1.0, 1.0)):
+    return CorrelationSpec(n=n, means=np.array(means), sigmas=np.array(sigmas),
+                           structure=Equicorrelation(0.0))
+
+
+# each call, the error it raises and a fragment of its message
+REJECTED = {
+    "matrix not square": (lambda: FullMatrix(np.ones((2, 3))),
+                          DimensionMismatch, "must be square"),
+    "empty universe": (lambda: _spec(n=0, means=(), sigmas=()),
+                       ValueError, "universe size must be at least 1"),
+    "sigmas shape": (lambda: _spec(sigmas=(1.0,)), DimensionMismatch, "sigmas has shape"),
+    "zero sigma": (lambda: _spec(sigmas=(1.0, 0.0)),
+                   ValueError, "sigmas must be strictly positive and finite"),
+    "infinite mean": (lambda: _spec(means=(0.0, np.inf)), ValueError, "means must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED.values(), ids=REJECTED)
+def test_rejected_input_raises(case):
+    call, error, fragment = case
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 # ---------------------------------------------------------------------------
