@@ -22,10 +22,10 @@ class NumericalError(CrossdispError):
 
 
 class RefDateAbsent(DataError):
-    """A requested date is not present in the panel."""
+    """A requested date, or any date of a requested year, is not present in the panel."""
 
-    def __init__(self, when: object) -> None:
-        super().__init__(f"date not in panel: {when}")
+    def __init__(self, when: object, message: str | None = None) -> None:
+        super().__init__(message or f"date not in panel: {when}")
         self.when = when
 
 

@@ -18,17 +18,21 @@ oversized field) raise a DataError.
 
 ``tref_sweep`` is the normalize / dispersion / tail step of both
 ``analyze`` (one reference date) and ``sweep``, run one performance
-chunk at a time. The dispersion and tail tables are formatted from their
-series' columns (a tail gap has empty alpha, k, n and method cells).
+chunk at a time; each reference date's series form one ``SweepEntry``.
+Its dispersion and tail tables are formatted from the series' columns
+over one date column (a tail gap has empty alpha, k, n and method cells).
 
-Every report maps to a ``meta`` block and named tables of rows, which
-both formats render; the simulator's report is the ``RhoSweepTable``, and
-a bare ``SimResult`` is none. A JSON document is a top-level object with the
-``meta`` block (tool, version, policies, seed where applicable) and each
-table as a list of objects, written here from the tables (one %-template
-per table fills each row) byte for byte as ``json.dumps(document,
-indent=2, allow_nan=False)`` plus a newline would write it; CSV holds one
-table per file. Floats use Python's shortest round-trip repr, so every
+There are five reports, the ones the commands write: ``AnalysisReport``
+(analyze), ``SweepResult`` (sweep), ``SurvivalCurve`` and ``HillSweep``
+(survival) and ``RhoSweepTable`` (simulate). Each maps to a ``meta``
+block and named tables of rows, which both formats render; anything else
+(a bare series, a list of events, a ``SimResult``) raises TypeError. A
+JSON document is a top-level object with the ``meta`` block (tool,
+version, policies, seed where applicable) and each table as a list of
+objects, written here from the tables (one %-template per table fills
+each row) byte for byte as ``json.dumps(document, indent=2,
+allow_nan=False)`` plus a newline would write it; CSV holds one table
+per file. Floats use Python's shortest round-trip repr, so every
 written number reparses to the exact same double; undefined values are
 null in JSON and empty cells in CSV. Reports are streamed to their file
 or to stdout, a JSON table or 64 KiB of CSV at a time, so memory follows
@@ -229,7 +233,7 @@ def first_trading_day_per_year(
             chosen.add(year)
             year += 1
         if year <= last:
-            raise RefDateAbsent(f"no trading days in year {year}")
+            raise RefDateAbsent(year, f"no trading days in year {year}")
     return [first[y] for y in sorted(chosen)]
 
 
@@ -240,15 +244,25 @@ def first_trading_day_per_year(
 
 @dataclass(frozen=True)
 class SweepEntry:
+    """One reference date's dispersion and tail series, which share their dates from
+    that date on (the reports format the dates once and join the tables row by row)."""
+
     ref_date: dt.date
     dispersion: DispersionSeries
     tails: TailSeries
 
+    def __post_init__(self) -> None:
+        dates = self.dispersion.dates
+        if not dates or dates[0] != self.ref_date:
+            raise ValueError("the series must start at their reference date")
+        if self.tails.dates != dates:
+            raise ValueError("the tail series must have its dispersion's dates")
+
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Dispersion and tail series for several reference dates over one universe; each
-    entry's two series share their dates, from its reference date on, and ``k_policy``."""
+    """Dispersion and tail series for several reference dates over one universe, each
+    entry's tail series under ``k_policy``."""
 
     entries: tuple[SweepEntry, ...]
     universe: tuple[str, ...]
@@ -260,21 +274,14 @@ class SweepResult:
         refs = [e.ref_date for e in self.entries]
         if any(a >= b for a, b in zip(refs, refs[1:])):
             raise ValueError("reference dates must be strictly increasing")
-        for entry in self.entries:  # the CSV joins each entry's tables row by row
-            dates = entry.dispersion.dates
-            if not dates or dates[0] != entry.ref_date:
-                raise ValueError("each sub-series must start at its own reference date")
-            if entry.tails.dates != dates or entry.tails.k_policy != self.k_policy:
-                raise ValueError("each tail series must match its dispersion's dates and k policy")
+        if any(e.tails.k_policy != self.k_policy for e in self.entries):
+            raise ValueError("each tail series must have the sweep's k policy")
 
 
 @dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(SweepEntry):
     """Bundle written by the analyze command: one reference date's series."""
 
-    ref_date: dt.date
-    dispersion: DispersionSeries
-    tails: TailSeries
     extremes: tuple[ExtremeEvent, ...]
     policy: str
     window: int
@@ -395,53 +402,21 @@ class _Layout:
     json_body: dict[str, Any] | None = None
 
 
-def _iso(dates: Iterable[dt.date]) -> list[str]:
-    return [when.isoformat() for when in dates]
-
-
-def _dispersion_table(series: DispersionSeries, iso_dates: list[str]) -> _Table:
-    return _Table(
-        ("date", "mean", "variance", "count"),
-        zip(iso_dates, _jf_all(series.mean), _jf_all(series.variance), series.count.tolist()),
-    )
-
-
-def _tail_table(series: TailSeries, iso_dates: list[str]) -> _Table:
-    return _Table(
-        ("date", "alpha", "k", "n", "method"),
-        zip(iso_dates, _jf_all(series.alpha),
-            *(np.where(series.k == 0, None, c).tolist() for c in (series.k, series.n, HILL))),
-    )
-
-
-def _series_tables(dispersion: DispersionSeries, tails: TailSeries) -> dict[str, _Table]:
-    """The dispersion and tail tables of one reference date, each date formatted once."""
-    iso = _iso(dispersion.dates)
-    tail_iso = iso if tails.dates == dispersion.dates else _iso(tails.dates)
-    return {"dispersion": _dispersion_table(dispersion, iso), "tail": _tail_table(tails, tail_iso)}
-
-
-def _event_table(events: Iterable[ExtremeEvent]) -> _Table:
-    return _Table(
-        ("date", "kind", "value", "window"),
-        (
-            (e.date.isoformat() if isinstance(e.date, dt.date) else e.date,
-             e.kind, _jf(e.value), e.window)
-            for e in events
-        ),
-    )
+def _series_tables(entry: SweepEntry) -> dict[str, _Table]:
+    """The dispersion and tail tables of one reference date, over one date column."""
+    disp, tails = entry.dispersion, entry.tails
+    iso = [when.isoformat() for when in disp.dates]
+    return {
+        "dispersion": _Table(("date", "mean", "variance", "count"), zip(
+            iso, _jf_all(disp.mean), _jf_all(disp.variance), disp.count.tolist())),
+        "tail": _Table(("date", "alpha", "k", "n", "method"), zip(
+            iso, _jf_all(tails.alpha),
+            *(np.where(tails.k == 0, None, c).tolist() for c in (tails.k, tails.n, HILL)))),
+    }
 
 
 def _layout(result: Any) -> _Layout:
-    """The meta block and tables of any supported report object."""
-    if isinstance(result, DispersionSeries):
-        return _Layout(_meta("dispersion-series"),
-                       {"series": _dispersion_table(result, _iso(result.dates))})
-    if isinstance(result, TailSeries):
-        return _Layout(
-            _meta("tail-series", **_k_policy_meta(result.k_policy)),
-            {"series": _tail_table(result, _iso(result.dates))},
-        )
+    """The meta block and tables of the five reports the commands write."""
     if isinstance(result, SurvivalCurve):
         return _Layout(_meta("survival-curve", n=result.n), {"series": _Table(
             ("z", "survival"), zip(*map(_jf_all, result.step_points())))})
@@ -454,14 +429,14 @@ def _layout(result: Any) -> _Layout:
                 window=result.window,
                 **_k_policy_meta(result.tails.k_policy),
             ),
-            {
-                **_series_tables(result.dispersion, result.tails),
-                "extremes": _event_table(result.extremes),
-            },
+            {**_series_tables(result), "extremes": _Table(
+                ("date", "kind", "value", "window"),
+                ((e.date.isoformat() if isinstance(e.date, dt.date) else e.date,
+                  e.kind, _jf(e.value), e.window) for e in result.extremes))},
         )
     if isinstance(result, SweepResult):
         # JSON nests each reference date's tables, CSV joins them; entries are built as read
-        entries = ({"ref_date": e.ref_date.isoformat(), **_series_tables(e.dispersion, e.tails)}
+        entries = ({"ref_date": e.ref_date.isoformat(), **_series_tables(e)}
                    for e in result.entries)
         return _Layout(
             _meta(
@@ -490,10 +465,6 @@ def _layout(result: Any) -> _Layout:
     if isinstance(result, HillSweep):
         return _Layout(_meta("hill-sweep"), {"series": _Table(
             ("k", "alpha"), zip(result.k.tolist(), _jf_all(result.alpha)))})
-    if isinstance(result, (list, tuple)) and all(
-        isinstance(e, ExtremeEvent) for e in result
-    ):
-        return _Layout(_meta("extreme-events"), {"events": _event_table(result)})
     raise TypeError(f"cannot serialize {type(result).__name__}")
 
 

@@ -59,6 +59,14 @@ def _freeze(record: Any, **kinds: type) -> None:
         object.__setattr__(record, name, value)
 
 
+def _doubles(count: int, fill: float | None = None) -> FloatArray:
+    """``count`` doubles, each ``fill`` if given. A count whose bytes numpy cannot
+    address raises MemoryError, as one it cannot allocate does, not ValueError."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{count} doubles are more than numpy can address")
+    return np.empty(count) if fill is None else np.full(count, fill)
+
+
 def _eq_by_value(self: Any, other: object) -> bool:
     """``==`` of a frozen dataclass that holds numpy arrays: same type and equal
     fields, each array by shape and values (NaN equal to NaN)."""
@@ -255,8 +263,9 @@ def survival_value(x: npt.ArrayLike, z: float) -> float:
 class SurvivalCurve:
     """Empirical survival function of one cross-section.
 
-    Stores the ascending sample and evaluates S(z) = #{x_i > z} / n for
-    any threshold. Step points for export are the distinct sample values.
+    Stores the ascending sample, whose values must be finite, and evaluates
+    S(z) = #{x_i > z} / n for any threshold. Step points for export are the
+    distinct sample values.
     """
 
     sorted_values: FloatArray
@@ -266,6 +275,8 @@ class SurvivalCurve:
         _freeze(self, sorted_values=np.float64)
         if self.sorted_values.size == 0:
             raise EmptyCrossSection("survival curve needs at least one value")
+        if not np.isfinite(self.sorted_values).all():
+            raise ValueError("survival curve values must be finite")
         if np.any(np.diff(self.sorted_values) < 0):
             raise ValueError("sorted_values must be ascending")
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSD, NumericalError, TooFewStocks, ZeroReps
-from .panel import CHUNK_BYTES, FloatArray, _eq_by_value, _freeze, dispersion_values
+from .panel import CHUNK_BYTES, FloatArray, _doubles, _eq_by_value, _freeze, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
 REPLICATION_BLOCK = 1024
@@ -222,7 +222,7 @@ def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
         raise TooFewStocks(spec.n, 2)
     rows = max(1, CHUNK_BYTES // (8 * spec.n))
     reps = config.reps
-    values = np.empty(reps, dtype=np.float64)
+    values = _doubles(reps)
 
     n_blocks = (reps + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK
     tasks = max(1, min(workers, n_blocks))

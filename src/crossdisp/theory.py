@@ -23,7 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import DimensionMismatch, NoLimit
-from .panel import FloatArray, _eq_by_value, _freeze
+from .panel import FloatArray, _doubles, _eq_by_value, _freeze
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ class CorrelationSpec:
     ) -> CorrelationSpec:
         return cls(
             n=n,
-            means=np.full(n, float(mean)),
-            sigmas=np.full(n, float(sigma)),
+            means=_doubles(n, float(mean)),
+            sigmas=_doubles(n, float(sigma)),
             structure=Equicorrelation(rho),
         )
 

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,7 @@ def test_huge_year_range_exits_without_expanding_it(small_csv, capsys):
     finally:
         tracemalloc.stop()
     assert code == EXIT_DATA
-    assert capsys.readouterr().err.endswith(": no trading days in year 1\n")
+    assert capsys.readouterr().err == "crossdisp: no trading days in year 1\n"
     assert peak < 1024 * 1024
 
 
@@ -596,18 +597,25 @@ def test_simulated_dispersion_outside_the_doubles_is_a_numerical_error(sigma, ta
     assert captured.err.endswith(" is outside the range of a double\n")
 
 
-# Each asks numpy for 8 PiB, which fails at once and allocates nothing. A
-# smaller oversized request could be granted by overcommit and then filled.
+# The first two ask numpy for 8 PiB, which fails at once and allocates nothing;
+# a smaller oversized request could be granted by overcommit and then filled.
+# The others ask for 2**60 doubles or more, more bytes than numpy can address,
+# which numpy refuses with ValueError, not MemoryError.
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "4", "--m-reps", "1125899906842624"],
     ["simulate", "--n", "1125899906842624", "--m-reps", "2"],
+    ["simulate", "--n", "4", "--m-reps", "1152921504606846976"],
+    ["simulate", "--n", "100000000000000000000", "--m-reps", "1"],
+    ["simulate", "--m-reps", "100000000000000000000"],
 ])
 def test_out_of_memory_is_a_data_error(argv, capsys):
     assert main(argv) == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("crossdisp: out of memory: ")
-    assert captured.err.count("\n") == 1 and "8.00 PiB" in captured.err
+    count = max(int(arg) for arg in argv if arg.isdigit())
+    fragment = "8.00 PiB" if count < 2**60 else f"{count} doubles are more than numpy can address"
+    assert captured.err.count("\n") == 1 and fragment in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +636,9 @@ def test_analytic_only_builds_no_correlation_spec(monkeypatch, capsys):
         raise AssertionError("--analytic-only built an n-long CorrelationSpec")
 
     monkeypatch.setattr(CorrelationSpec, "equicorrelated", refuse)
-    for table in ([], ["--table", "rho-sweep"]):
-        argv = ["simulate", "--n", "10000000", "--analytic-only", *table]
+    # 10**20 doubles are more than numpy can address, but nothing is allocated
+    for n, table in product(["10000000", "100000000000000000000"], ([], ["--table", "rho-sweep"])):
+        argv = ["simulate", "--n", n, "--analytic-only", *table]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.count("analytic") == (11 if table else 1)
 
@@ -749,6 +758,7 @@ def test_sweep_by_years(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [e["ref_date"] for e in doc["series"]] == ["2019-01-07", "2020-01-06"]
     assert main(["sweep", str(path), "--years", "2021"]) == EXIT_DATA
+    assert capsys.readouterr().err == "crossdisp: no trading days in year 2021\n"
 
 
 def test_sweep_out_csv(wide_csv, tmp_path):

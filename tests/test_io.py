@@ -20,6 +20,8 @@ from crossdisp import (
     RefDateAbsent,
     RhoSweepRow,
     RhoSweepTable,
+    SweepEntry,
+    SweepResult,
     TailSeries,
     analyze_panel,
     detect_extremes,
@@ -193,8 +195,9 @@ def test_first_trading_day_per_year(tmp_path):
     # the first missing year in argument order is named, ranges included
     for years, missing in [([2021, (2019, 2023), 2018], 2022), ([2017, (2019, 2023)], 2017),
                            ([(2020, 10**9)], 2022)]:
-        with pytest.raises(RefDateAbsent, match=f"no trading days in year {missing}$"):
+        with pytest.raises(RefDateAbsent, match=f"^no trading days in year {missing}$") as err:
             first_trading_day_per_year(panel, years=years)
+        assert err.value.when == missing
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +272,21 @@ def test_sweep_result_rejects_a_sub_series_its_csv_would_misalign(tiny_panel):
         replace(two, entries=two.entries[::-1])
 
 
+def test_analysis_report_checks_its_entry_as_a_sweep_entry(tiny_panel):
+    report = analysis_fixture(tiny_panel)
+    assert isinstance(report, SweepEntry)
+    disp, tails = report.dispersion, report.tails
+    later = tuple(when + dt.timedelta(days=365) for when in tails.dates)
+    with pytest.raises(ValueError, match="the tail series must have its dispersion's dates"):
+        replace(report, tails=replace(tails, dates=later))
+    with pytest.raises(ValueError, match="the series must start at their reference date"):
+        replace(report, ref_date=tiny_panel.dates[1])
+    with pytest.raises(ValueError, match="the series must start at their reference date"):
+        replace(report, dispersion=replace(disp, dates=(), mean=[], variance=[], count=[]),
+                tails=replace(tails, dates=(), alpha=[], k=[], n=[]))
+    assert replace(report) == report
+
+
 def test_sweep_absent_ref_names_date(tiny_panel):
     with pytest.raises(RefDateAbsent) as err:
         tref_sweep(tiny_panel, [d("1999-01-01")])
@@ -290,10 +308,10 @@ def test_analyze_panel_is_the_hand_written_chain(gappy_panel, policy):
         window=1,
     )
     report = analyze_panel(gappy_panel, ref, policy, kp, 1)
+    assert report == expected
     assert render_report(report, fmt="json") == render_report(expected, fmt="json")
     (entry,) = tref_sweep(gappy_panel, [ref], policy=policy, k_policy=kp).entries
-    assert render_report(entry.dispersion) == render_report(report.dispersion)
-    assert render_report(entry.tails) == render_report(report.tails)
+    assert entry.dispersion == report.dispersion and entry.tails == report.tails
 
 
 @st.composite
@@ -339,52 +357,69 @@ def test_appending_dates_leaves_earlier_rows_unchanged(case):
 # ---------------------------------------------------------------------------
 
 
-def analysis_fixture(tiny_panel):
-    perf = normalize_panel(tiny_panel, tiny_panel.dates[0])
+def analysis_fixture(panel, ref_row=0, policy="drop-at-ref"):
+    ref = panel.dates[ref_row]
+    perf = normalize_panel(panel, ref, policy=policy)
     disp = dispersion_series(perf)
     tails = tail_series(perf, KPolicy(min_n=2))
     events = (
-        ExtremeEvent(date=tiny_panel.dates[1], kind=LOCAL_MINIMUM, value=1.0, window=1),
+        ExtremeEvent(date=panel.dates[1], kind=LOCAL_MINIMUM, value=1.0, window=1),
     )
     return AnalysisReport(
-        ref_date=tiny_panel.dates[0],
+        ref_date=ref,
         dispersion=disp,
         tails=tails,
         extremes=events,
-        policy="drop-at-ref",
+        policy=policy,
         window=1,
     )
 
 
+def csv_files(report, tmp_path):
+    """The CSV fan-out of an analyze report, by table name."""
+    write_report(report, tmp_path / "run.csv", fmt="csv")
+    return {name: (tmp_path / f"run.{name}.csv").read_text(encoding="utf-8")
+            for name in ("dispersion", "tail", "extremes")}
+
+
 def test_dispersion_json_document(tiny_panel):
-    doc = document(dispersion_series(normalize_panel(tiny_panel, tiny_panel.dates[0])))
+    doc = document(analysis_fixture(tiny_panel))
     assert doc["meta"]["tool"] == "crossdisp"
-    assert doc["meta"]["kind"] == "dispersion-series"
-    assert [row["date"] for row in doc["series"]] == [
+    assert doc["meta"]["kind"] == "analysis"
+    assert [row["date"] for row in doc["dispersion"]] == [
         "2003-01-02", "2003-01-03", "2003-01-06",
     ]
-    assert doc["series"][0]["variance"] == 0.0
-    assert doc["series"][0]["count"] == 2
+    assert doc["dispersion"][0]["variance"] == 0.0
+    assert doc["dispersion"][0]["count"] == 2
 
 
 def test_json_nan_becomes_null(gappy_panel):
-    perf = normalize_panel(gappy_panel, gappy_panel.dates[1], policy="complete-only")
-    series = dispersion_series(perf)
-    variances = [row["variance"] for row in document(series)["series"]]
+    report = analysis_fixture(gappy_panel, ref_row=1, policy="complete-only")
+    series, alphas = report.dispersion, report.tails.alpha.tolist()
+    variances = [row["variance"] for row in document(report)["dispersion"]]
     assert variances == [None if math.isnan(v) else v for v in series.variance.tolist()]
+    # the reference date is a tail gap: every stock sits exactly at 1
+    assert math.isnan(alphas[0])
+    assert [row["alpha"] for row in document(report)["tail"]] == [
+        None if math.isnan(a) else a for a in alphas]
+    sweep = tref_sweep(gappy_panel, [report.ref_date], policy="complete-only")
+    (entry,) = document(sweep)["series"]
+    assert [row["variance"] for row in entry["dispersion"]] == variances
 
 
 def test_json_round_trips_exact_floats(tiny_panel):
-    series = dispersion_series(normalize_panel(tiny_panel, tiny_panel.dates[0]))
-    parsed = json.loads(render_report(series, fmt="json"))
-    values = [row["variance"] for row in parsed["series"]]
-    assert values == list(series.variance)
+    report = analysis_fixture(tiny_panel)
+    parsed = json.loads(render_report(report, fmt="json"))
+    assert [row["variance"] for row in parsed["dispersion"]] == list(report.dispersion.variance)
+    assert [row["mean"] for row in parsed["dispersion"]] == list(report.dispersion.mean)
+    alphas = [math.nan if row["alpha"] is None else row["alpha"] for row in parsed["tail"]]
+    assert np.array_equal(alphas, report.tails.alpha, equal_nan=True)
 
 
-def test_dispersion_csv(tiny_panel):
-    series = dispersion_series(normalize_panel(tiny_panel, tiny_panel.dates[0]))
-    text = render_report(series, fmt="csv")
-    lines = text.strip().split("\n")
+def test_dispersion_csv(tiny_panel, tmp_path):
+    report = analysis_fixture(tiny_panel)
+    series = report.dispersion
+    lines = csv_files(report, tmp_path)["dispersion"].strip().split("\n")
     assert lines[0] == "date,mean,variance,count"
     assert len(lines) == 4
     cells = lines[1].split(",")
@@ -393,26 +428,34 @@ def test_dispersion_csv(tiny_panel):
     assert float(cells[2]) == series.variance[0]
 
 
-def test_csv_nan_is_empty_cell():
+def test_csv_nan_is_empty_cell(tmp_path):
     # one-date series with a single stock: variance undefined
     from crossdisp.panel import DispersionSeries
 
-    series = DispersionSeries(
-        dates=(d("2020-01-02"),),
-        mean=np.array([1.0]),
-        variance=np.array([np.nan]),
-        count=np.array([1]),
+    when = d("2020-01-02")
+    report = AnalysisReport(
+        ref_date=when,
+        dispersion=DispersionSeries(
+            dates=(when,),
+            mean=np.array([1.0]),
+            variance=np.array([np.nan]),
+            count=np.array([1]),
+        ),
+        tails=TailSeries((when,), alpha=[np.nan], k=[0], n=[1]),
+        extremes=(),
+        policy="drop-at-ref",
+        window=1,
     )
-    line = render_report(series, fmt="csv").strip().split("\n")[1]
+    line = csv_files(report, tmp_path)["dispersion"].strip().split("\n")[1]
     assert line == "2020-01-02,1.0,,1"
-    assert document(series)["series"][0]["variance"] is None
+    assert document(report)["dispersion"][0]["variance"] is None
+    sweep = SweepResult(entries=(SweepEntry(when, report.dispersion, report.tails),),
+                        universe=("A",), policy="drop-at-ref", k_policy=KPolicy())
+    assert render_report(sweep, fmt="csv").split("\n")[1] == "2020-01-02,2020-01-02,1.0,,1,,"
 
 
-def test_tail_csv_gap_rows(tiny_panel):
-    perf = normalize_panel(tiny_panel, tiny_panel.dates[0])
-    tails = tail_series(perf, KPolicy(min_n=2))
-    text = render_report(tails, fmt="csv")
-    lines = text.strip().split("\n")
+def test_tail_csv_gap_rows(tiny_panel, tmp_path):
+    lines = csv_files(analysis_fixture(tiny_panel), tmp_path)["tail"].strip().split("\n")
     assert lines[0] == "date,alpha,k,n,method"
     # the reference date row is a gap: every stock sits exactly at 1
     assert lines[1] == "2003-01-02,,,,"
@@ -495,12 +538,35 @@ def test_rho_sweep_table_documents():
     assert lines[1] == "-1.0,1.998,,1.998,analytic"
 
 
-def test_event_list_documents():
-    events = [ExtremeEvent(date=d("2020-05-05"), kind=LOCAL_MINIMUM, value=2.5, window=3)]
-    doc = document(events)
-    assert doc["meta"]["kind"] == "extreme-events"
-    assert doc["events"][0]["date"] == "2020-05-05"
-    assert render_report([], fmt="csv") == "date,kind,value,window\n"
+def test_event_list_documents(tiny_panel, tmp_path):
+    event = ExtremeEvent(date=tiny_panel.dates[2], kind=LOCAL_MINIMUM, value=2.5, window=3)
+    report = replace(analysis_fixture(tiny_panel), extremes=(event,))
+    assert document(report)["extremes"] == [
+        {"date": "2003-01-06", "kind": LOCAL_MINIMUM, "value": 2.5, "window": 3}]
+    assert csv_files(replace(report, extremes=()), tmp_path)["extremes"] == (
+        "date,kind,value,window\n")
+
+
+def standalone_kinds(tiny_panel):
+    """What no command writes: one report's series or events on their own."""
+    report = analysis_fixture(tiny_panel)
+    events = list(report.extremes)
+    return {"dispersion series": report.dispersion, "tail series": report.tails,
+            "event list": events, "event tuple": tuple(events), "empty list": [],
+            "sweep entry": SweepEntry(report.ref_date, report.dispersion, report.tails)}
+
+
+@pytest.mark.parametrize("kind", ["dispersion series", "tail series", "event list",
+                                  "event tuple", "empty list", "sweep entry"])
+def test_only_the_five_command_reports_render(kind, tiny_panel, tmp_path):
+    result = standalone_kinds(tiny_panel)[kind]
+    for fmt in ("json", "csv"):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            render_report(result, fmt)
+        for path in (tmp_path / "out.csv", None):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                write_report(result, path, fmt)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unsupported_objects():
@@ -513,14 +579,14 @@ def test_unsupported_objects():
 
 
 def test_write_report_io_error(tiny_panel, tmp_path):
-    series = dispersion_series(normalize_panel(tiny_panel, tiny_panel.dates[0]))
-    with pytest.raises(IoError):
-        write_report(series, tmp_path / "missing" / "deep" / "out.csv")
+    for report in (analysis_fixture(tiny_panel), tref_sweep(tiny_panel, [tiny_panel.dates[0]])):
+        with pytest.raises(IoError):
+            write_report(report, tmp_path / "missing" / "deep" / "out.csv")
 
 
 def test_write_report_json(tiny_panel, tmp_path):
-    series = dispersion_series(normalize_panel(tiny_panel, tiny_panel.dates[0]))
+    report = analysis_fixture(tiny_panel)
     path = tmp_path / "series.json"
-    write_report(series, path, fmt="json")
-    assert path.read_text(encoding="utf-8") == render_report(series, fmt="json")
-    assert document(series)["meta"]["kind"] == "dispersion-series"
+    write_report(report, path, fmt="json")
+    assert path.read_text(encoding="utf-8") == render_report(report, fmt="json")
+    assert document(report)["meta"]["kind"] == "analysis"

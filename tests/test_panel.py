@@ -514,6 +514,12 @@ REJECTED = {
         ValueError, "performance values must be strictly positive"),
     "empty survival curve": (lambda: SurvivalCurve(sorted_values=[]),
                              EmptyCrossSection, "needs at least one value"),
+    "survival curve of NaN": (lambda: survival_curve([1.0, np.nan, 2.0]),
+                              ValueError, "survival curve values must be finite"),
+    "survival curve of +inf": (lambda: SurvivalCurve(sorted_values=[1.0, np.inf]),
+                               ValueError, "survival curve values must be finite"),
+    "survival curve of -inf": (lambda: survival_curve([1.0, -np.inf]),
+                               ValueError, "survival curve values must be finite"),
     "pairwise of one": (lambda: pairwise_dispersion([1.0]),
                         TooFewStocks, "need at least 2 stocks, found 1"),
     "dispersion of a vector": (lambda: dispersion_values([1.0, 2.0]),
