@@ -3,9 +3,9 @@
 The library turns a panel of daily prices into per-date cross-sections of
 performance relative to a reference date, and then measures how spread out
 those cross-sections are (dispersion series, survival curves) and how heavy
-their upper tail is (Hill and log-log exponents). A companion analytic model
-links expected dispersion to the correlation structure of returns, and a
-seeded Monte Carlo engine checks the two against each other.
+their upper tail is (Hill exponents). A companion analytic model links
+expected dispersion to the correlation structure of returns, and a seeded
+Monte Carlo engine checks the two against each other.
 """
 
 from .errors import (
@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     RefDateAbsent,
     TooFewStocks,
-    TooFewTailPoints,
     WindowTooLarge,
     ZeroReps,
 )
@@ -79,9 +78,7 @@ from .tails import (
     detect_extremes,
     hill_estimator,
     hill_k_sweep,
-    loglog_tail_fit,
     pareto_variance,
-    powerlaw_slope,
     tail_series,
 )
 from .theory import (
@@ -90,9 +87,7 @@ from .theory import (
     Equicorrelation,
     FullMatrix,
     TermLimits,
-    dispersion_bounds,
     dispersion_variance,
-    equicorrelation_dispersion_variance,
     equicorrelation_expected_dispersion,
     expected_dispersion,
     limit_dispersion,
@@ -106,7 +101,7 @@ __all__ = [
     "BadK", "DegenerateTail", "DimensionMismatch", "DuplicateDate",
     "EmptyCrossSection", "IoError", "NoLimit", "NonFiniteVariance",
     "NonPositivePrice", "NotPSD", "ParseError", "RefDateAbsent",
-    "TooFewStocks", "TooFewTailPoints", "WindowTooLarge", "ZeroReps",
+    "TooFewStocks", "WindowTooLarge", "ZeroReps",
     # panel
     "PricePanel", "PerformancePanel", "SurvivalCurve", "DispersionSeries",
     "Moments", "normalize_panel", "survival_value", "survival_curve",
@@ -114,13 +109,12 @@ __all__ = [
     "dispersion_series", "DROP_AT_REF", "COMPLETE_ONLY", "MISSING_DATA_POLICIES",
     # tails
     "TailEstimate", "TailSeries", "HillSweep", "ExtremeEvent", "KPolicy",
-    "hill_estimator", "hill_k_sweep", "loglog_tail_fit", "powerlaw_slope",
-    "pareto_variance", "tail_series", "detect_extremes",
+    "hill_estimator", "hill_k_sweep", "pareto_variance", "tail_series",
+    "detect_extremes",
     # theory
     "CorrelationSpec", "Equicorrelation", "FullMatrix",
     "EquicorrelatedFamily", "TermLimits", "expected_dispersion", "dispersion_variance",
-    "equicorrelation_expected_dispersion", "equicorrelation_dispersion_variance",
-    "limit_dispersion", "dispersion_bounds",
+    "equicorrelation_expected_dispersion", "limit_dispersion",
     # simulate
     "SimConfig", "SimResult", "FeasibilityReport", "validate_feasibility",
     "sample_gaussian_matrix",

@@ -55,15 +55,6 @@ class DegenerateTail(NumericalError):
     """The upper tail carries no spread, so no exponent is defined."""
 
 
-class TooFewTailPoints(DataError):
-    """Not enough usable points for a log-log tail fit."""
-
-    def __init__(self, found: int, required: int = 3) -> None:
-        super().__init__(f"need at least {required} tail points, found {found}")
-        self.found = found
-        self.required = required
-
-
 class NonFiniteVariance(NumericalError):
     """The Pareto variance diverges for exponents at or below 2."""
 

@@ -263,7 +263,7 @@ def survival_value(x: npt.ArrayLike, z: float) -> float:
 class SurvivalCurve:
     """Empirical survival function of one cross-section.
 
-    Stores the ascending sample, whose values must be finite, and evaluates
+    Stores the ascending 1-d sample, whose values must be finite, and evaluates
     S(z) = #{x_i > z} / n for any threshold. Step points for export are the
     distinct sample values.
     """
@@ -273,6 +273,8 @@ class SurvivalCurve:
 
     def __post_init__(self) -> None:
         _freeze(self, sorted_values=np.float64)
+        if self.sorted_values.ndim != 1:
+            raise ValueError("expected a 1-d sample")
         if self.sorted_values.size == 0:
             raise EmptyCrossSection("survival curve needs at least one value")
         if not np.isfinite(self.sorted_values).all():

@@ -1,13 +1,12 @@
 """Tail-exponent estimation and extreme-value scanning.
 
-Two estimators of the upper-tail Pareto exponent are provided: the Hill
-estimator on the k largest order statistics, and a least-squares fit of
-the log survival function against the log threshold. Both are meant for
-per-date cross-sections of performance ratios. `hill_k_sweep` returns a
-`HillSweep` of columns k and alpha for one sample (degenerate ks left out;
-`hill_estimator` is its one-k case), and `tail_series` a `TailSeries` of
-columns alpha, k and n for every date of a performance panel (a gap has
-alpha NaN and k 0). Neither builds an object per k or per date.
+The upper-tail Pareto exponent of a per-date cross-section of performance
+ratios is estimated with the Hill estimator on its k largest order
+statistics. `hill_k_sweep` returns a `HillSweep` of columns k and alpha
+for one sample (degenerate ks left out; `hill_estimator` is its one-k
+case), and `tail_series` a `TailSeries` of columns alpha, k and n for
+every date of a performance panel (a gap has alpha NaN and k 0). Neither
+builds an object per k or per date.
 
 All Hill sums come from one kernel, `_hill_sums`. On a sample sorted in
 descending order it forms the sum of log(x_(i) / x_(k+1)) over i = 1..k
@@ -34,39 +33,26 @@ import numpy as np
 import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    BadK,
-    DegenerateTail,
-    NonFiniteVariance,
-    TooFewTailPoints,
-    WindowTooLarge,
-)
-from .panel import FloatArray, PerformancePanel, SurvivalCurve, _eq_by_value, _freeze
+from .errors import BadK, DegenerateTail, NonFiniteVariance, WindowTooLarge
+from .panel import FloatArray, PerformancePanel, _eq_by_value, _freeze
 
-HILL = "hill"
-LOGLOG = "loglog"
+HILL = "hill"  # the method column of every tail table
 
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """One tail-exponent estimate.
-
-    ``k`` is the number of upper order statistics (Hill) or fitted points
-    (log-log) actually used, out of a cross-section of size ``n``.
-    """
+    """One Hill estimate: exponent ``alpha`` from the ``k`` largest values of
+    a cross-section of size ``n``."""
 
     alpha: float
     k: int
     n: int
-    method: str
 
     def __post_init__(self) -> None:
         if not (0 < self.k < self.n):
             raise ValueError(f"k={self.k} must satisfy 0 < k < n={self.n}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"tail exponent must be positive and finite, got {self.alpha}")
-        if self.method not in (HILL, LOGLOG):
-            raise ValueError(f"unknown method: {self.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +106,11 @@ def hill_k_sweep(x: npt.ArrayLike, k_values: list[int] | None = None) -> HillSwe
     diagnostic plots, from one sort and one cumulative sum; degenerate ks are
     left out. Errors come as from one estimate per k in turn: BadK for the
     first k, ValueError for a sample that is not strictly positive and
-    finite, then BadK for the first other k out of range."""
+    finite, then BadK for the first other k out of range. A sample that is
+    not 1-d raises ValueError before any of these."""
     arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("expected a 1-d sample")
     n = int(arr.size)
     ks = np.arange(1, n) if k_values is None else np.asarray(k_values)
     if not ks.size:
@@ -169,60 +158,7 @@ def hill_estimator(x: npt.ArrayLike, k: int) -> TailEstimate:
     sweep = hill_k_sweep(arr, [k])
     if not len(sweep):
         raise DegenerateTail(f"the {k + 1} largest values are all equal; no tail spread")
-    return TailEstimate(alpha=float(sweep.alpha[0]), k=k, n=int(arr.size), method=HILL)
-
-
-# ---------------------------------------------------------------------------
-# log-log survival fit
-# ---------------------------------------------------------------------------
-
-
-def powerlaw_slope(z: npt.ArrayLike, s: npt.ArrayLike) -> tuple[float, float]:
-    """Least-squares slope and intercept of log(s) against log(z).
-
-    Needs at least 3 points with z > 0 and s > 0. A slope that is not
-    strictly negative means the points carry no decaying tail, which is
-    flagged as DegenerateTail (the implied exponent would be -slope <= 0).
-    """
-    zs = np.asarray(z, dtype=np.float64)
-    ss = np.asarray(s, dtype=np.float64)
-    if zs.shape != ss.shape or zs.ndim != 1:
-        raise ValueError("z and s must be 1-d arrays of equal length")
-    if zs.size < 3:
-        raise TooFewTailPoints(int(zs.size))
-    if np.any(zs <= 0.0) or np.any(ss <= 0.0):
-        raise ValueError("log-log fit needs strictly positive z and s")
-    lz = np.log(zs)
-    ls = np.log(ss)
-    zc = lz - lz.mean()
-    denom = float(zc @ zc)
-    if denom == 0.0:
-        raise ValueError("thresholds must not all coincide")
-    slope = float(zc @ (ls - ls.mean())) / denom
-    intercept = float(ls.mean() - slope * lz.mean())
-    if slope >= 0.0:
-        raise DegenerateTail(
-            f"fitted tail exponent {-slope} is not positive; survival does not decay"
-        )
-    return slope, intercept
-
-
-def loglog_tail_fit(curve: SurvivalCurve, z_min: float | None = None) -> TailEstimate:
-    """Tail exponent from an OLS fit of log S(z) over the curve's own steps.
-
-    Fits only sample points strictly above ``z_min`` that still have a
-    positive survival value (the largest point always has S = 0 and is
-    excluded). ``z_min`` defaults to the cross-sectional median.
-    """
-    if z_min is None:
-        z_min = float(np.median(curve.sorted_values))
-    zs, ss = curve.step_points()
-    usable = (zs > z_min) & (ss > 0.0)
-    n_usable = int(usable.sum())
-    if n_usable < 3:
-        raise TooFewTailPoints(n_usable)
-    slope, _ = powerlaw_slope(zs[usable], ss[usable])
-    return TailEstimate(alpha=-slope, k=n_usable, n=curve.n, method=LOGLOG)
+    return TailEstimate(alpha=float(sweep.alpha[0]), k=k, n=int(arr.size))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +229,7 @@ class TailSeries:
     def estimates(self) -> tuple[TailEstimate | None, ...]:
         """One TailEstimate per date, None at a gap, built on demand."""
         columns = zip(self.alpha.tolist(), self.k.tolist(), self.n.tolist())
-        return tuple(TailEstimate(a, k, n, HILL) if k else None for a, k, n in columns)
+        return tuple(TailEstimate(a, k, n) if k else None for a, k, n in columns)
 
     def __len__(self) -> int:
         return len(self.dates)

@@ -207,15 +207,6 @@ def equicorrelation_expected_dispersion(n: int, rho: float, sigma: float = 1.0) 
     return (1.0 - 1.0 / n) * (1.0 - rho) * sigma * sigma
 
 
-def equicorrelation_dispersion_variance(n: int, rho: float, sigma: float = 1.0) -> float:
-    """Exact Var[V] = 2 (1 - rho)^2 sigma^4 (n - 1) / n^2 for the homogeneous
-    case at any feasible rho, the closed form of ``dispersion_variance``
-    with one sigma (any common mean): V ~ (1 - rho) sigma^2 chi^2_{n-1} / n,
-    so its variance is 2 E[V]^2 / (n - 1)."""
-    mean = equicorrelation_expected_dispersion(n, rho, sigma)
-    return 2.0 * mean * mean / (n - 1) if n > 1 else 0.0
-
-
 @dataclass(frozen=True)
 class EquicorrelatedFamily:
     """A growing homogeneous universe: common rho, sigma and mean for all n."""
@@ -263,14 +254,3 @@ def limit_dispersion(family: EquicorrelatedFamily | TermLimits) -> float:
         f"cannot derive term limits for {type(family).__name__}; "
         "supply TermLimits explicitly"
     )
-
-
-def dispersion_bounds(n: int) -> tuple[float, float]:
-    """Algebraic range of the expected dispersion for m = 0, sigma = 1, over
-    unit-diagonal inputs with entries in [-1, 1]: zero at full positive
-    correlation, 2 - 2/n at rho = -1. For n > 2 no correlation matrix R
-    reaches the top: E[V] = 1 - 1'R1/n^2 and 1'R1 >= 0 when R is positive
-    semidefinite, so the feasible maximum is 1, at rho = -1/(n - 1)."""
-    if n < 2:
-        raise ValueError("bounds need a universe of at least 2 stocks")
-    return 0.0, 2.0 - 2.0 / n

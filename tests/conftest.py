@@ -43,3 +43,10 @@ def pareto_grid(n: int, alpha: float) -> np.ndarray:
     """Deterministic Pareto quantile grid x_i = (1 - i/(n+1))^(-1/alpha)."""
     i = np.arange(1, n + 1, dtype=np.float64)
     return (1.0 - i / (n + 1.0)) ** (-1.0 / alpha)
+
+
+def homogeneous_variance(n: int, rho: float, sigma: float = 1.0) -> float:
+    """Var[V] for one sigma, rho and mean: N V / ((1 - rho) sigma^2) ~ chi^2_{N-1},
+    so Var[V] = 2 E[V]^2 / (N - 1) = 2 (1 - rho)^2 sigma^4 (N - 1) / N^2."""
+    mean = (1.0 - 1.0 / n) * (1.0 - rho) * sigma * sigma
+    return 2.0 * mean * mean / (n - 1) if n > 1 else 0.0

@@ -520,6 +520,10 @@ REJECTED = {
                                ValueError, "survival curve values must be finite"),
     "survival curve of -inf": (lambda: survival_curve([1.0, -np.inf]),
                                ValueError, "survival curve values must be finite"),
+    "survival curve of a matrix": (lambda: survival_curve([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                                   ValueError, "expected a 1-d sample"),
+    "survival curve record of a matrix": (lambda: SurvivalCurve(sorted_values=[[1.0, 2.0]]),
+                                          ValueError, "expected a 1-d sample"),
     "pairwise of one": (lambda: pairwise_dispersion([1.0]),
                         TooFewStocks, "need at least 2 stocks, found 1"),
     "dispersion of a vector": (lambda: dispersion_values([1.0, 2.0]),

@@ -46,7 +46,7 @@ from crossdisp import (
     write_report,
 )
 from crossdisp import io as report_io
-from crossdisp.tails import HILL, LOCAL_MAXIMUM, LOCAL_MINIMUM, LOGLOG
+from crossdisp.tails import LOCAL_MAXIMUM, LOCAL_MINIMUM
 
 # ---------------------------------------------------------------------------
 # reference serializers
@@ -94,7 +94,7 @@ def ref_tail_rows(series):
                          "n": None, "method": None})
         else:
             rows.append({"date": when.isoformat(), "alpha": ref_jf(est.alpha),
-                         "k": est.k, "n": est.n, "method": est.method})
+                         "k": est.k, "n": est.n, "method": "hill"})
     return rows
 
 
@@ -175,7 +175,7 @@ def ref_dispersion_csv(series):
 
 
 def ref_tail_csv(series):
-    rows = [[w, None, None, None, None] if e is None else [w, e.alpha, e.k, e.n, e.method]
+    rows = [[w, None, None, None, None] if e is None else [w, e.alpha, e.k, e.n, "hill"]
             for w, e in zip(series.dates, series.estimates)]
     return ref_csv_from_rows(["date", "alpha", "k", "n", "method"], rows)
 
@@ -266,8 +266,7 @@ def dispersion_series_at(draw, start: dt.date, n: int) -> DispersionSeries:
 @st.composite
 def tail_estimates(draw) -> TailEstimate:
     n = draw(st.integers(2, 10**6))
-    return TailEstimate(alpha=draw(positive), k=draw(st.integers(1, n - 1)), n=n,
-                        method=draw(st.sampled_from([HILL, LOGLOG])))
+    return TailEstimate(alpha=draw(positive), k=draw(st.integers(1, n - 1)), n=n)
 
 
 @st.composite

@@ -17,7 +17,6 @@ from crossdisp import (
     ZeroReps,
     dispersion_values,
     dispersion_variance,
-    equicorrelation_dispersion_variance,
     expected_dispersion,
     sample_gaussian_matrix,
     simulate_dispersion,
@@ -27,6 +26,8 @@ from crossdisp import (
 import crossdisp.simulate as simulate_module
 from crossdisp.simulate import CHUNK_BYTES, REPLICATION_BLOCK
 from crossdisp.theory import Equicorrelation, FullMatrix
+
+from conftest import homogeneous_variance
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,7 @@ def test_simulated_variance_matches_the_exact_law(n, rho, sigma, mean):
     reps = 20000
     spec = CorrelationSpec.equicorrelated(n, rho, sigma, mean)
     res = simulate_dispersion(SimConfig(spec=spec, reps=reps, seed=20261018))
-    exact = equicorrelation_dispersion_variance(n, rho, sigma)
+    exact = homogeneous_variance(n, rho, sigma)
     # V = c X with X ~ chi^2_k: Var[V] = 2 k c^2 and its fourth central
     # moment is 12 k (k + 4) c^4, which sets the spread of the sample variance
     k, c = n - 1, (1.0 - rho) * sigma**2 / n
@@ -327,6 +328,91 @@ def test_simulated_variance_matches_the_exact_law(n, rho, sigma, mean):
     mu4 = 12 * k * (k + 4) * c**4
     se = math.sqrt((mu4 - exact**2 * (reps - 3) / (reps - 1)) / reps)
     assert abs(res.var_vn - exact) < 5.0 * se
+
+
+def regularized_lower_gamma(a, x):
+    """P(a, x) for a > 0 and each x > 0: the series where x < a + 1, else one minus
+    the continued fraction for Q(a, x) by modified Lentz (Numerical Recipes 6.2)."""
+    x = np.asarray(x, dtype=np.float64)
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    front = np.exp(a * np.log(x) - x - math.lgamma(a))
+    out = np.empty_like(x)
+    low = x < a + 1.0
+    term = np.full(np.count_nonzero(low), 1.0 / a)
+    total = term.copy()
+    for i in range(1, 1000):
+        term *= x[low] / (a + i)
+        total += term
+        if np.all(term < total * eps):
+            break
+    out[low] = front[low] * total
+    b = x[~low] + 1.0 - a
+    c = np.full_like(b, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        h *= d * c
+        if np.all(np.abs(d * c - 1.0) < eps):
+            break
+    out[~low] = 1.0 - front[~low] * h
+    return out
+
+
+def finite_sum_lower_gamma(a, y):
+    """P(a, y) for a whole or half-integer a, from its finite sum: one minus (for a
+    half-integer, erf(sqrt(y)) minus) the sum of y^j e^-y / Gamma(j + 1) over the
+    j = a - 1, a - 2, ... that are at least 0."""
+    start = a - math.floor(a)
+    head = 1.0 if start == 0.0 else math.erf(math.sqrt(y))
+    return head - math.fsum(math.exp((start + j) * math.log(y) - y - math.lgamma(start + j + 1))
+                            for j in range(int(a - start)))
+
+
+def ks_statistic(sample, cdf):
+    """sqrt(m) times the one-sample Kolmogorov-Smirnov distance of ``sample`` from ``cdf``."""
+    u = cdf(np.sort(sample))
+    m = u.size
+    i = np.arange(1, m + 1)
+    return math.sqrt(m) * max(np.max(i / m - u), np.max(u - (i - 1) / m))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 5.0, 14.5, 15.0])
+def test_regularized_lower_gamma_matches_its_finite_sums(a):
+    # both branches: the series below a + 1 and the continued fraction above it
+    ys = np.linspace(0.05, 4.0 * a + 20.0, 400)
+    want = [finite_sum_lower_gamma(a, y) for y in ys.tolist()]
+    np.testing.assert_allclose(regularized_lower_gamma(a, ys), want, rtol=0.0, atol=1e-13)
+
+
+KS_CRITICAL_1PCT = 1.628  # sqrt(m) D exceeds it with probability 1% under the law
+
+
+def test_homogeneous_dispersion_follows_the_chi_square_law():
+    # N V / ((1 - rho) sigma^2) ~ chi^2_{N-1}, whose CDF is P((N - 1) / 2, x / 2).
+    # At this seed sqrt(m) D is 0.913 for the exact law, 5.18 for draws scaled
+    # by 1.01 and 14.2 for draws at rho + 0.02
+    n, rho, sigma, reps, seed = 30, 0.3, 1.5, 100_000, 20261020
+
+    def statistic(per_rep):
+        x = n * per_rep / ((1.0 - rho) * sigma**2)
+        return ks_statistic(x, lambda v: regularized_lower_gamma((n - 1) / 2.0, v / 2.0))
+
+    def per_rep(draw_rho):
+        spec = CorrelationSpec.equicorrelated(n, draw_rho, sigma)
+        return simulate_dispersion(SimConfig(spec=spec, reps=reps, seed=seed)).per_rep
+
+    exact = per_rep(rho)
+    assert statistic(exact) < KS_CRITICAL_1PCT
+    # the test has the power to reject a 1% scale error and a 0.02 error in rho
+    assert statistic(1.01 * exact) > KS_CRITICAL_1PCT
+    assert statistic(per_rep(rho + 0.02)) > KS_CRITICAL_1PCT
 
 
 @pytest.mark.parametrize("workers, blocks, expected", [(8, 2, 2), (5, 1, 1), (2, 3, 2)])
@@ -525,7 +611,7 @@ def test_simulated_variance_matches_the_exact_law_for_any_spec(structure):
 def test_homogeneous_law_is_the_quadratic_form_law():
     spec = CorrelationSpec.equicorrelated(12, -0.05, 1.5, mean=2.0)
     exact, _ = _quadratic_form_cumulants(spec)
-    assert exact == pytest.approx(equicorrelation_dispersion_variance(12, -0.05, 1.5), rel=1e-12)
+    assert exact == pytest.approx(homogeneous_variance(12, -0.05, 1.5), rel=1e-12)
 
 
 @pytest.mark.parametrize("many_sigmas", [False, True], ids=["one-sigma", "many-sigmas"])

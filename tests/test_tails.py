@@ -18,26 +18,21 @@ from crossdisp import (
     PerformancePanel,
     TailEstimate,
     TailSeries,
-    TooFewTailPoints,
     WindowTooLarge,
     detect_extremes,
     hill_estimator,
     hill_k_sweep,
-    loglog_tail_fit,
     pareto_variance,
-    powerlaw_slope,
-    survival_curve,
     tail_series,
 )
 
 from conftest import d, pareto_grid
 
 # Frozen oracle values. Computed by direct evaluation of the estimator
-# definition in pure Python (math.fsum over explicit log ratios / an
-# explicit least-squares fit), independent of the library code paths.
+# definition in pure Python (math.fsum over explicit log ratios),
+# independent of the library code paths.
 HILL_GRID_N1000_A25_K100 = 2.5569515932168203
 HILL_GRID_N20000_A4_K2000 = 4.007453224502762
-LOGLOG_GRID_N1000_A25 = 2.57100981982209
 
 
 def hill_oracle(xs, k: int) -> float:
@@ -45,23 +40,6 @@ def hill_oracle(xs, k: int) -> float:
     n = len(xs)
     thr = xs[n - k - 1]
     return k / math.fsum(math.log(xs[n - k + j] / thr) for j in range(k))
-
-
-def loglog_oracle(xs, z_min: float) -> float:
-    xs = [float(x) for x in xs]
-    n = len(xs)
-    pts = []
-    for z in sorted(set(xs)):
-        if z <= z_min:
-            continue
-        s = sum(1 for x in xs if x > z) / n
-        if s > 0.0:
-            pts.append((math.log(z), math.log(s)))
-    mz = math.fsum(p[0] for p in pts) / len(pts)
-    ms = math.fsum(p[1] for p in pts) / len(pts)
-    num = math.fsum((a - mz) * (b - ms) for a, b in pts)
-    den = math.fsum((a - mz) ** 2 for a, _ in pts)
-    return -num / den
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +51,7 @@ def test_hill_three_point_example():
     est = hill_estimator([1.0, math.e, math.e**2], k=2)
     # mean log excess over x_(1)=1 is (2 + 1)/2 = 1.5
     assert est.alpha == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert (est.k, est.n, est.method) == (2, 3, "hill")
+    assert (est.k, est.n) == (2, 3)
 
 
 def test_hill_matches_quantile_grid_oracle():
@@ -183,60 +161,6 @@ def test_hill_sweep_validates_columns(k, alpha):
 
 
 # ---------------------------------------------------------------------------
-# log-log tail fit
-# ---------------------------------------------------------------------------
-
-
-def exact_powerlaw_sample() -> np.ndarray:
-    # survival hits z^-2 exactly at z = 2, 4, 8:
-    # 64 values, 16 above 2, 4 above 4, 1 above 8
-    return np.concatenate(
-        [np.full(32, 1.0), np.full(16, 2.0), np.full(12, 4.0), np.full(3, 8.0), [16.0]]
-    )
-
-
-def test_loglog_fit_recovers_exact_power_law():
-    curve = survival_curve(exact_powerlaw_sample())
-    est = loglog_tail_fit(curve, z_min=1.5)
-    assert est.alpha == pytest.approx(2.0, rel=1e-12)
-    assert est.k == 3  # points 2, 4, 8; the top point has S = 0
-    assert est.method == "loglog"
-
-
-def test_loglog_default_zmin_is_median():
-    xs = pareto_grid(1000, 2.5)
-    curve = survival_curve(xs)
-    est = loglog_tail_fit(curve)
-    explicit = loglog_tail_fit(curve, z_min=float(np.median(xs)))
-    assert est.alpha == explicit.alpha
-    assert est.alpha == pytest.approx(LOGLOG_GRID_N1000_A25, rel=1e-12)
-    assert est.alpha == pytest.approx(loglog_oracle(xs, float(np.median(xs))), rel=1e-10)
-    # small systematic bias against the true exponent is expected
-    assert abs(est.alpha - 2.5) < 0.1
-
-
-def test_loglog_too_few_points():
-    curve = survival_curve([1.0, 2.0, 3.0])
-    with pytest.raises(TooFewTailPoints):
-        loglog_tail_fit(curve, z_min=2.5)
-
-
-def test_flat_survival_is_degenerate():
-    with pytest.raises(DegenerateTail):
-        powerlaw_slope([2.0, 4.0, 8.0], [0.3, 0.3, 0.3])
-
-
-def test_rising_points_are_degenerate():
-    with pytest.raises(DegenerateTail):
-        powerlaw_slope([2.0, 4.0, 8.0], [0.1, 0.2, 0.4])
-
-
-def test_powerlaw_slope_needs_three_points():
-    with pytest.raises(TooFewTailPoints):
-        powerlaw_slope([2.0, 4.0], [0.5, 0.25])
-
-
-# ---------------------------------------------------------------------------
 # Pareto variance
 # ---------------------------------------------------------------------------
 
@@ -324,9 +248,9 @@ def test_k_policy_validation():
 
 def test_tail_estimate_validates_fields():
     with pytest.raises(ValueError):
-        TailEstimate(alpha=1.0, k=5, n=5, method="hill")
+        TailEstimate(alpha=1.0, k=5, n=5)
     with pytest.raises(ValueError):
-        TailEstimate(alpha=-2.0, k=1, n=5, method="hill")
+        TailEstimate(alpha=-2.0, k=1, n=5)
 
 
 @pytest.mark.parametrize(
@@ -427,7 +351,7 @@ def reference_hill_estimator(x, k):
     mean_log_excess = float(np.mean(np.log(ordered[n - k:] / ordered[n - k - 1])))
     if mean_log_excess == 0.0:
         raise DegenerateTail("tied tail")
-    return TailEstimate(alpha=1.0 / mean_log_excess, k=k, n=n, method="hill")
+    return TailEstimate(alpha=1.0 / mean_log_excess, k=k, n=n)
 
 
 def reference_hill_k_sweep(x, k_values=None):
@@ -480,13 +404,13 @@ def reference_detect_extremes(values, window, dates=None):
 
 def sweep_estimates(sweep, n):
     """A sweep's columns as the TailEstimates of one hill_estimator call per k."""
-    return [TailEstimate(a, k, n, "hill") for k, a in zip(sweep.k.tolist(), sweep.alpha.tolist())]
+    return [TailEstimate(a, k, n) for k, a in zip(sweep.k.tolist(), sweep.alpha.tolist())]
 
 
 def assert_same_estimates(got, want):
-    """Same gaps, k, n and method; alpha within rel 1e-12."""
-    assert [None if e is None else (e.k, e.n, e.method) for e in got] == [
-        None if e is None else (e.k, e.n, e.method) for e in want
+    """Same gaps, k and n; alpha within rel 1e-12."""
+    assert [None if e is None else (e.k, e.n) for e in got] == [
+        None if e is None else (e.k, e.n) for e in want
     ]
     for g, w in zip(got, want):
         if g is not None:
@@ -630,14 +554,12 @@ def test_detect_extremes_matches_loop_reference(series, window, with_dates):
 
 # each call, the error it raises and a fragment of its message
 REJECTED = {
-    "unknown method": (lambda: TailEstimate(alpha=1.0, k=1, n=3, method="moment"),
-                       ValueError, "unknown method: 'moment'"),
-    "slope lengths": (lambda: powerlaw_slope([1.0, 2.0, 3.0], [0.5, 0.2]),
-                      ValueError, "1-d arrays of equal length"),
-    "slope at zero": (lambda: powerlaw_slope([0.0, 1.0, 2.0], [0.9, 0.5, 0.2]),
-                      ValueError, "strictly positive z and s"),
-    "one threshold": (lambda: powerlaw_slope([2.0, 2.0, 2.0], [0.5, 0.4, 0.3]),
-                      ValueError, "thresholds must not all coincide"),
+    "sweep of a matrix": (lambda: hill_k_sweep([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                          ValueError, "expected a 1-d sample"),
+    "sweep of a matrix, no k": (lambda: hill_k_sweep([[1.0, 2.0, 3.0]], []),
+                                ValueError, "expected a 1-d sample"),
+    "hill of a matrix": (lambda: hill_estimator([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 1),
+                         ValueError, "expected a 1-d sample"),
     "extremes of a matrix": (lambda: detect_extremes([[1.0, 2.0, 1.0]], 1),
                              ValueError, "expected a 1-d series"),
     "extremes misdated": (lambda: detect_extremes([1.0, 2.0, 1.0], 1, dates=(d("2003-01-02"),)),

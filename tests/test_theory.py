@@ -13,13 +13,13 @@ from crossdisp import (
     FullMatrix,
     NoLimit,
     TermLimits,
-    dispersion_bounds,
     dispersion_variance,
-    equicorrelation_dispersion_variance,
     equicorrelation_expected_dispersion,
     expected_dispersion,
     limit_dispersion,
 )
+
+from conftest import homogeneous_variance
 
 
 def random_correlation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -113,8 +113,8 @@ def test_bounds_hold_on_random_psd_matrices():
         corr = random_correlation(rng, n)
         spec = CorrelationSpec.with_matrix(corr)
         value = expected_dispersion(spec)
-        lo, hi = dispersion_bounds(n)
-        assert lo <= value <= hi
+        # the algebraic range over unit-diagonal inputs with entries in [-1, 1]
+        assert 0.0 <= value <= 2.0 - 2.0 / n
 
 
 def test_feasible_expected_dispersion_is_at_most_one():
@@ -237,39 +237,34 @@ def test_limit_unknown_family():
         limit_dispersion({"rho": 0.5})  # type: ignore[arg-type]
 
 
-def test_dispersion_bounds():
-    assert dispersion_bounds(1000) == (0.0, pytest.approx(1.998))
-    assert dispersion_bounds(2) == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        dispersion_bounds(1)
-
-
 # ---------------------------------------------------------------------------
 # exact variance of the dispersion
 # ---------------------------------------------------------------------------
 
 
+def spec_variance(n, rho, sigma=1.0):
+    return dispersion_variance(CorrelationSpec.equicorrelated(n, rho, sigma))
+
+
 def test_dispersion_variance_closed_form():
-    # V ~ (1 - rho) sigma^2 chi^2_{n-1} / n, so Var[V] = 2 (1 - rho)^2 sigma^4 (n - 1) / n^2
-    assert equicorrelation_dispersion_variance(10, 0.0) == pytest.approx(0.18, rel=1e-14)
-    assert equicorrelation_dispersion_variance(50, 0.3, 2.0) == pytest.approx(
+    assert spec_variance(10, 0.0) == pytest.approx(0.18, rel=1e-14)
+    assert spec_variance(50, 0.3, 2.0) == pytest.approx(
         2 * 0.7**2 * 16 * 49 / 2500, rel=1e-14)
-    assert equicorrelation_dispersion_variance(1000, 1.0) == 0.0
-    assert equicorrelation_dispersion_variance(1, 0.5) == 0.0
+    assert spec_variance(1000, 1.0) == 0.0
+    assert spec_variance(1, 0.5) == 0.0
 
 
 def test_dispersion_variance_ratio_from_ten_to_a_hundred_stocks():
-    ratio = equicorrelation_dispersion_variance(10, 0.2) / equicorrelation_dispersion_variance(
-        100, 0.2)
+    ratio = spec_variance(10, 0.2) / spec_variance(100, 0.2)
     assert ratio == pytest.approx(100 / 11, rel=1e-12)
     assert round(ratio, 2) == 9.09
 
 
 def test_dispersion_variance_validates_like_the_mean():
     with pytest.raises(ValueError):
-        equicorrelation_dispersion_variance(0, 0.0)
+        spec_variance(0, 0.0)
     with pytest.raises(ValueError):
-        equicorrelation_dispersion_variance(10, 1.5)
+        spec_variance(10, 1.5)
 
 
 def _trace_law(spec):
@@ -311,7 +306,7 @@ def test_full_matrix_dispersion_variance_is_the_trace_law():
 def test_dispersion_variance_of_a_homogeneous_spec_is_the_closed_form(n, rho, sigma, mean):
     spec = CorrelationSpec.equicorrelated(n, rho, sigma, mean)
     assert dispersion_variance(spec) == pytest.approx(
-        equicorrelation_dispersion_variance(n, rho, sigma), rel=1e-12, abs=1e-300)
+        homogeneous_variance(n, rho, sigma), rel=1e-12, abs=1e-300)
 
 
 def test_expected_dispersion_leaves_no_residue_at_full_correlation():
