@@ -35,8 +35,10 @@ allow_nan=False)`` plus a newline would write it; CSV holds one table
 per file. Floats use Python's shortest round-trip repr, so every
 written number reparses to the exact same double; undefined values are
 null in JSON and empty cells in CSV. Reports are streamed to their file
-or to stdout, a JSON table or 64 KiB of CSV at a time, so memory follows
-the largest table, not the report. Files are replaced atomically.
+or to stdout. Every table's cells are built one slab of 512 rows at a
+time, and JSON is rendered a slab at a time, CSV in pieces of 64 KiB, so
+memory follows one slab of 512 rows, not the table or the report. Files
+are replaced atomically.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from io import StringIO
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import JSONEncoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -352,6 +354,16 @@ class RhoSweepTable:
 # ---------------------------------------------------------------------------
 
 
+# the rows of a report table built and rendered at a time: cells and text are alive for
+# one slab, not for the table
+_SLAB = 512
+
+
+def _slabs(n_rows: int) -> list[slice]:
+    """The slabs of an ``n_rows``-row table, in order."""
+    return [slice(i, i + _SLAB) for i in range(0, n_rows, _SLAB)]
+
+
 def _jf(value: float | None) -> float | None:
     """A float cell: NaN and infinities become None (JSON null, empty CSV cell)."""
     return None if value is None or not math.isfinite(value) else float(value)
@@ -405,21 +417,35 @@ class _Layout:
 def _series_tables(entry: SweepEntry) -> dict[str, _Table]:
     """The dispersion and tail tables of one reference date, over one date column."""
     disp, tails = entry.dispersion, entry.tails
-    iso = [when.isoformat() for when in disp.dates]
+    slabs = _slabs(len(disp.dates))
+    # each date formatted once and kept as one line of its slab's string: about 11 bytes
+    # a date, where a str of its own takes about 60
+    iso = ["\n".join([when.isoformat() for when in disp.dates[s]]) for s in slabs]
+
+    def dispersion_rows(s: slice, dates: str) -> Iterable[tuple[Any, ...]]:
+        return zip(dates.split("\n"), _jf_all(disp.mean[s]), _jf_all(disp.variance[s]),
+                   disp.count[s].tolist())
+
+    def tail_rows(s: slice, dates: str) -> Iterable[tuple[Any, ...]]:
+        gap = tails.k[s] == 0
+        return zip(dates.split("\n"), _jf_all(tails.alpha[s]),
+                   *(np.where(gap, None, c).tolist() for c in (tails.k[s], tails.n[s], HILL)))
+
     return {
-        "dispersion": _Table(("date", "mean", "variance", "count"), zip(
-            iso, _jf_all(disp.mean), _jf_all(disp.variance), disp.count.tolist())),
-        "tail": _Table(("date", "alpha", "k", "n", "method"), zip(
-            iso, _jf_all(tails.alpha),
-            *(np.where(tails.k == 0, None, c).tolist() for c in (tails.k, tails.n, HILL)))),
+        "dispersion": _Table(("date", "mean", "variance", "count"),
+                             chain.from_iterable(map(dispersion_rows, slabs, iso))),
+        "tail": _Table(("date", "alpha", "k", "n", "method"),
+                       chain.from_iterable(map(tail_rows, slabs, iso))),
     }
 
 
 def _layout(result: Any) -> _Layout:
     """The meta block and tables of the five reports the commands write."""
     if isinstance(result, SurvivalCurve):
+        points = result.step_points()
         return _Layout(_meta("survival-curve", n=result.n), {"series": _Table(
-            ("z", "survival"), zip(*map(_jf_all, result.step_points())))})
+            ("z", "survival"), chain.from_iterable(
+                zip(*(_jf_all(c[s]) for c in points)) for s in _slabs(len(points[0]))))})
     if isinstance(result, AnalysisReport):
         return _Layout(
             _meta(
@@ -464,7 +490,8 @@ def _layout(result: Any) -> _Layout:
         )
     if isinstance(result, HillSweep):
         return _Layout(_meta("hill-sweep"), {"series": _Table(
-            ("k", "alpha"), zip(result.k.tolist(), _jf_all(result.alpha)))})
+            ("k", "alpha"), chain.from_iterable(zip(result.k[s].tolist(), _jf_all(result.alpha[s]))
+                                                for s in _slabs(len(result.k))))})
     raise TypeError(f"cannot serialize {type(result).__name__}")
 
 
@@ -492,7 +519,8 @@ def _object_template(keys: Iterable[str], pad: str) -> str:
 
 def _json_text(value: Any, pad: str) -> Iterator[str]:
     """``value`` (dicts, lists or iterators, ``_Table``s, scalars) at indent ``pad``, one
-    piece per dict key, list item and table (a list of objects, one template per row)."""
+    piece per dict key, list item and slab of a table's rows (a table is a list of
+    objects, one template per row; each slab picks its columns' encoders itself)."""
     inner = pad + "  "
     if isinstance(value, dict):
         opening = "{"
@@ -502,9 +530,14 @@ def _json_text(value: Any, pad: str) -> Iterator[str]:
             opening = ","
         yield "{}" if opening == "{" else f"\n{pad}}}"
     elif isinstance(value, _Table):
-        rows = zip(*map(_json_cells, zip(*value.rows)))
-        text = f",\n{inner}".join(map(_object_template(value.columns, inner).__mod__, rows))
-        yield f"[\n{inner}{text}\n{pad}]" if text else "[]"
+        fill = _object_template(value.columns, inner).__mod__
+        rows = iter(value.rows)
+        opening = "["
+        while slab := list(islice(rows, _SLAB)):
+            cells = zip(*map(_json_cells, zip(*slab)))
+            yield f"{opening}\n{inner}" + f",\n{inner}".join(map(fill, cells))
+            opening = ","
+        yield "[]" if opening == "[" else f"\n{pad}]"
     elif isinstance(value, (list, tuple, Iterator)):
         opening = "["
         for item in value:
@@ -589,7 +622,7 @@ def _write_text(path: Path | None, chunks: Iterable[str]) -> None:
 def write_report(result: Any, path: str | Path | None, fmt: str = "csv") -> None:
     """Render ``result`` and write it to ``path`` atomically, or to stdout if
     ``path`` is None, streamed: each piece is written as it is rendered, so
-    memory follows the largest table.
+    memory follows one slab of 512 rows.
 
     In CSV a report with several tables (AnalysisReport) writes one file
     per table, ``base.<table>.csv``, where ``base`` is ``path`` without a

@@ -251,9 +251,17 @@ def normalize_panel(
 # ---------------------------------------------------------------------------
 
 
+def _sample(x: npt.ArrayLike) -> FloatArray:
+    """One cross-section as a float64 array; anything but a 1-d sample raises ValueError."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("expected a 1-d sample")
+    return arr
+
+
 def survival_value(x: npt.ArrayLike, z: float) -> float:
     """Fraction of the cross-section strictly greater than ``z``."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _sample(x)
     if arr.size == 0:
         raise EmptyCrossSection("cannot evaluate the survival function of nothing")
     return int(np.count_nonzero(arr > z)) / arr.size
@@ -302,7 +310,7 @@ class SurvivalCurve:
 
 
 def survival_curve(x: npt.ArrayLike) -> SurvivalCurve:
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _sample(x)
     if arr.size == 0:
         raise EmptyCrossSection("survival curve needs at least one value")
     return SurvivalCurve(sorted_values=np.sort(arr))
@@ -320,7 +328,7 @@ class Moments(NamedTuple):
 
 def cross_sectional_moments(x: npt.ArrayLike) -> Moments:
     """Mean and population variance of one cross-section (needs n >= 2)."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _sample(x)
     if arr.size < 2:
         raise TooFewStocks(int(arr.size), 2)
     return Moments(float(arr.mean()), float(arr.var()))
@@ -333,7 +341,7 @@ def pairwise_dispersion(x: npt.ArrayLike) -> float:
     identical to the population variance. Kept as an independent O(n^2)
     route so the identity can be checked numerically.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _sample(x)
     n = arr.size
     if n < 2:
         raise TooFewStocks(int(n), 2)

@@ -34,7 +34,7 @@ import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadK, DegenerateTail, NonFiniteVariance, WindowTooLarge
-from .panel import FloatArray, PerformancePanel, _eq_by_value, _freeze
+from .panel import FloatArray, PerformancePanel, _eq_by_value, _freeze, _sample
 
 HILL = "hill"  # the method column of every tail table
 
@@ -106,13 +106,13 @@ def hill_k_sweep(x: npt.ArrayLike, k_values: list[int] | None = None) -> HillSwe
     diagnostic plots, from one sort and one cumulative sum; degenerate ks are
     left out. Errors come as from one estimate per k in turn: BadK for the
     first k, ValueError for a sample that is not strictly positive and
-    finite, then BadK for the first other k out of range. A sample that is
-    not 1-d raises ValueError before any of these."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d sample")
+    finite, then BadK for the first other k out of range. A sample or
+    ``k_values`` that is not 1-d raises ValueError before any of these."""
+    arr = _sample(x)
     n = int(arr.size)
     ks = np.arange(1, n) if k_values is None else np.asarray(k_values)
+    if ks.ndim != 1:
+        raise ValueError("expected 1-d k values")
     if not ks.size:
         return HillSweep(k=ks, alpha=np.empty(0))
     if ks.dtype.kind not in "iu":
@@ -158,7 +158,7 @@ def hill_estimator(x: npt.ArrayLike, k: int) -> TailEstimate:
     sweep = hill_k_sweep(arr, [k])
     if not len(sweep):
         raise DegenerateTail(f"the {k + 1} largest values are all equal; no tail spread")
-    return TailEstimate(alpha=float(sweep.alpha[0]), k=k, n=int(arr.size))
+    return TailEstimate(alpha=float(sweep.alpha[0]), k=int(k), n=int(arr.size))
 
 
 # ---------------------------------------------------------------------------

@@ -576,6 +576,79 @@ def test_a_chunk_that_raises_midway_leaves_the_old_file(fmt, tmp_path):
     assert os.listdir(tmp_path) == ["out"]
 
 
+# ---------------------------------------------------------------------------
+# slabs of rows: a table is built and rendered a slab at a time
+# ---------------------------------------------------------------------------
+
+
+SLAB = report_io._SLAB
+# no rows, one row, a slab less one, one slab, a slab and one, two slabs and one
+SLAB_SIZES = [0, 1, SLAB - 1, SLAB, SLAB + 1, 2 * SLAB + 1]
+
+
+@pytest.mark.parametrize("n", SLAB_SIZES)
+def test_a_table_renders_as_the_whole_table_would(n):
+    # x is None all through the first slab and a float after it, y an int, then a
+    # float: each slab picks its own encoders
+    columns = ("i", "x", "y", "s")
+    rows = [(i, None if i < SLAB else i / 7, i if i < SLAB else i + 0.5, f"r{i}")
+            for i in range(n)]
+    document = {"table": report_io._Table(columns, iter(rows))}  # rows read once
+    assert "".join(report_io._json_text(document, "")) + "\n" == dumps_reference(
+        {"table": [dict(zip(columns, row)) for row in rows]})
+    whole = StringIO()
+    csv.writer(whole, lineterminator="\n").writerows([columns, *rows])
+    assert "".join(report_io._Table(columns, iter(rows)).csv_text()) == whole.getvalue()
+
+
+def slab_reports(n: int) -> list[Any]:
+    """Reports whose tables have ``n`` rows; a series is all gaps and NaN in its first
+    slab only, and each survival step value is held twice."""
+    reports: list[Any] = [HillSweep(k=np.arange(1, n + 1), alpha=1.0 + np.arange(n) / 3)]
+    if not n:
+        return reports
+
+    def entry(start: dt.date) -> SweepEntry:
+        dates, later = dates_from(start, n), np.arange(n) >= SLAB
+        disp = DispersionSeries(dates=dates, mean=np.where(later, np.arange(n) / 3, math.nan),
+                                variance=np.where(later, np.arange(n) / 9, math.nan),
+                                count=np.where(later, 5, 0))
+        tails = TailSeries(dates=dates, alpha=np.where(later, 1.5 + np.arange(n) / 11, math.nan),
+                           k=np.where(later, 2, 0), n=np.where(later, 5, 0))
+        return SweepEntry(start, disp, tails)
+
+    first = entry(START)
+    return reports + [
+        AnalysisReport(START, first.dispersion, first.tails, extremes=(),
+                       policy="drop-at-ref", window=1),
+        SweepResult(entries=(first, entry(START + dt.timedelta(days=n))), universe=("A",) * 5,
+                    policy="drop-at-ref", k_policy=KPolicy()),
+        SurvivalCurve(sorted_values=np.repeat(np.arange(n) / 4, 2)),
+    ]
+
+
+@pytest.mark.parametrize("n", SLAB_SIZES)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reports_render_across_slab_edges_as_the_reference(n, fmt):
+    for report in slab_reports(n):
+        assert written_files(write_report, report, "out", fmt) == written_files(
+            ref_write_report, report, "out", fmt)
+
+
+def test_a_non_finite_float_in_a_later_slab_raises_and_keeps_the_old_file(tmp_path):
+    rows = [(0.5,)] * (SLAB + 3) + [(math.inf,)]
+    target = tmp_path / "out"
+    target.write_bytes(b"old bytes\n")
+    written: list[str] = []
+    chunks = report_io._json_text({"table": report_io._Table(("x",), iter(rows))}, "")
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        report_io._write_text(target, (written.append(c) or c for c in chunks))
+    # the first slab went to the temporary file before the second raised
+    assert "".join(written).count('"x": 0.5') == SLAB
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
 def synthetic_sweep(n_refs: int, n_dates: int = 2000) -> SweepResult:
     """``n_refs`` reference dates a day apart, each with ``n_dates`` dates of
     full-precision dispersion values and Hill estimates."""
@@ -604,12 +677,30 @@ def test_write_report_peak_memory_follows_one_reference_date(fmt, tmp_path):
         finally:
             tracemalloc.stop()
     one = max(len(render_report(replace(sweep, entries=(e,)), fmt)) for e in sweep.entries)
-    # Measured with 20 reference dates: JSON 1.65 MB, 2.6x the 0.62 MB of one
-    # reference date (a table rendered whole); CSV 0.87 MB, 5.2x its 0.17 MB (two
-    # dates' cell lists and a 64 KiB piece). Writing the whole document at once
-    # peaked at 2.5-2.7x the document: 30.9 MB (JSON) and 9.2 MB (CSV).
-    assert peaks[20] <= 4 * one + (1 << 20)
+    # Measured with 20 reference dates: JSON 0.55 MB, 0.9x the 0.62 MB of one
+    # reference date; CSV 0.57 MB, 3.4x its 0.17 MB (a slab of rows and a 64 KiB
+    # piece). Rendering each table whole peaked at 1.86 MB (JSON) and 1.32 MB (CSV),
+    # and writing the whole document at once at 30.9 MB and 9.2 MB.
+    assert peaks[20] <= one + (512 << 10)
     assert peaks[20] <= peaks[10] + (64 << 10)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_write_report_peak_memory_follows_one_slab_not_the_table(fmt, tmp_path):
+    peaks = {}
+    for n_dates in (2000, 20000):
+        sweep = synthetic_sweep(1, n_dates)
+        tracemalloc.start()
+        try:
+            write_report(sweep, tmp_path / f"sweep{n_dates}", fmt)
+            _, peaks[n_dates] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # Measured: 2,000 dates peak at 0.70 MB (JSON) and 0.55 MB (CSV), 20,000 dates
+    # 0.05 MB and 0.22 MB above that, about 0.2 MB of it the 18,000 more dates' ISO
+    # text (11 bytes each); rendering each table whole peaked 16.6 MB (JSON) and
+    # 4.5 MB (CSV) higher with 20,000 dates. The margin is 512 bytes a row of one slab.
+    assert peaks[20000] <= peaks[2000] + SLAB * 512
 
 
 def test_analyze_csv_fan_out_streams_each_file(tmp_path):
@@ -631,8 +722,10 @@ def test_analyze_csv_fan_out_streams_each_file(tmp_path):
         finally:
             tracemalloc.stop()
     written = sum(p.stat().st_size for p in tmp_path.iterdir())
-    # Measured: building the tables peaks at 4.18 MB and writing them at 4.61 MB.
-    # Rendering all three files before writing any peaked at 7.33 MB, adding
-    # their 2.77 MB of text.
+    # Measured: laying out the tables peaks at 0.37 MB (their date text) and
+    # writing them at 0.86 MB (a slab of rows and a 64 KiB piece); with each table's
+    # cells built whole the two were 7.69 and 7.88 MB. Rendering all three files
+    # before writing any peaked 2.77 MB higher, the size of their text.
     assert written > 2.5e6
     assert peaks[1] <= peaks[0] + (1 << 20)
+    assert peaks[1] <= written / 2

@@ -52,6 +52,8 @@ def test_hill_three_point_example():
     # mean log excess over x_(1)=1 is (2 + 1)/2 = 1.5
     assert est.alpha == pytest.approx(2.0 / 3.0, rel=1e-14)
     assert (est.k, est.n) == (2, 3)
+    # a numpy integer k is stored as the int it holds
+    assert type(hill_estimator([1.0, math.e, math.e**2], k=np.int64(2)).k) is int
 
 
 def test_hill_matches_quantile_grid_oracle():
@@ -558,6 +560,10 @@ REJECTED = {
                           ValueError, "expected a 1-d sample"),
     "sweep of a matrix, no k": (lambda: hill_k_sweep([[1.0, 2.0, 3.0]], []),
                                 ValueError, "expected a 1-d sample"),
+    "sweep of a k matrix": (lambda: hill_k_sweep([1.0, 2.0, 3.0, 4.0], [[1, 2]]),
+                            ValueError, "expected 1-d k values"),
+    "sweep of a scalar k": (lambda: hill_k_sweep([1.0, 2.0, 3.0, 4.0], 2),
+                            ValueError, "expected 1-d k values"),
     "hill of a matrix": (lambda: hill_estimator([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 1),
                          ValueError, "expected a 1-d sample"),
     "extremes of a matrix": (lambda: detect_extremes([[1.0, 2.0, 1.0]], 1),
