@@ -22,7 +22,7 @@ import sys
 from collections.abc import Callable, Iterator
 from typing import Any
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, ZeroReps
 from .io import (
     AnalysisReport,
     RhoSweepRow,
@@ -68,8 +68,13 @@ def _iso_date(text: str) -> dt.date:
         raise argparse.ArgumentTypeError(f"not an ISO date: {text!r}") from None
 
 
+def _items(text: str) -> list[str]:
+    """The comma-separated items of a list argument, stripped, empty ones dropped."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
 def _date_list(text: str) -> list[dt.date]:
-    dates = [_iso_date(part) for part in text.split(",") if part.strip()]
+    dates = [_iso_date(part) for part in _items(text)]
     if not dates:
         raise argparse.ArgumentTypeError("no dates given")
     return dates
@@ -79,16 +84,14 @@ def _year_list(text: str) -> list[tuple[int, int]]:
     """--years as inclusive (first, last) ranges in argument order, checked
     against the panel's years only when the sweep resolves them."""
     years: list[tuple[int, int]] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, hi = (int(year) for year in part.split("-", 1))
-            if lo > hi:
-                raise argparse.ArgumentTypeError(f"empty year range {part}")
-        else:
-            lo = hi = int(part)
+    for part in _items(text):
+        bounds = part.split("-", 1)
+        try:
+            lo, hi = int(bounds[0]), int(bounds[-1])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a year or year range: {part!r}") from None
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty year range {part}")
         years.append((lo, hi))
     if not years:
         raise argparse.ArgumentTypeError("no years given")
@@ -255,6 +258,8 @@ def _format_table(table: RhoSweepTable) -> Iterator[str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise DataError("universe size must be at least 2")
+    if args.m_reps < 1:
+        raise ZeroReps(args.m_reps)
     if args.table == "rho-sweep":
         rows = tuple(
             _one_rho_row(args, rho, seed, infeasible_analytic=True)

@@ -77,14 +77,10 @@ def _eq_by_value(self: Any, other: object) -> bool:
                for a, b in pairs)
 
 
-def _any_nonpositive(values: FloatArray) -> bool:
-    """True if any finite entry is <= 0. NaN and +-inf are skipped, since a
-    performance panel treats every non-finite value as missing."""
-    return bool(np.any((values <= 0.0) & np.isfinite(values)))
-
-
 def _any_nonpositive_or_infinite(values: FloatArray) -> bool:
-    """True if any entry but NaN is <= 0 or +-inf; two reductions, no mask."""
+    """True if any entry but NaN is <= 0 or +-inf: NaN is a panel's only missing
+    value, and every present value must be strictly positive and finite. Two
+    reductions, no mask."""
     return bool(np.fmin.reduce(values, axis=None, initial=np.inf) <= 0.0
                 or np.fmax.reduce(values, axis=None, initial=0.0) == np.inf)
 
@@ -136,7 +132,7 @@ class PerformancePanel:
     Rows cover the reference date and everything after it. The row at the
     reference date is identically 1. NaN marks a stock with no usable
     price on that particular date; such stocks drop out of that date's
-    cross-section only.
+    cross-section only. Present values must be strictly positive and finite.
     """
 
     ref_date: dt.date
@@ -153,8 +149,8 @@ class PerformancePanel:
         # the dates strictly increase: only the first can be the reference date
         if self.dates and self.dates[0] < self.ref_date:
             raise ValueError("all dates must be on or after the reference date")
-        if _any_nonpositive(self.values):
-            raise ValueError("performance values must be strictly positive")
+        if _any_nonpositive_or_infinite(self.values):
+            raise ValueError("performance values must be strictly positive and finite")
         if self.dates and self.dates[0] == self.ref_date:
             row = self.values[0]
             if not np.all(row[np.isfinite(row)] == 1.0):
@@ -252,10 +248,13 @@ def normalize_panel(
 
 
 def _sample(x: npt.ArrayLike) -> FloatArray:
-    """One cross-section as a float64 array; anything but a 1-d sample raises ValueError."""
+    """One cross-section as a float64 array. Every one-cross-section function checks
+    its sample here: a scalar, a matrix, a NaN or an infinity raises ValueError."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-d sample")
+    if not np.isfinite(arr).all():
+        raise ValueError("expected a finite sample")
     return arr
 
 
@@ -271,9 +270,9 @@ def survival_value(x: npt.ArrayLike, z: float) -> float:
 class SurvivalCurve:
     """Empirical survival function of one cross-section.
 
-    Stores the ascending 1-d sample, whose values must be finite, and evaluates
-    S(z) = #{x_i > z} / n for any threshold. Step points for export are the
-    distinct sample values.
+    Stores the ascending sample, checked as every one-cross-section function's
+    sample is, and evaluates S(z) = #{x_i > z} / n for any threshold. Step
+    points for export are the distinct sample values.
     """
 
     sorted_values: FloatArray
@@ -281,12 +280,9 @@ class SurvivalCurve:
 
     def __post_init__(self) -> None:
         _freeze(self, sorted_values=np.float64)
-        if self.sorted_values.ndim != 1:
-            raise ValueError("expected a 1-d sample")
+        _sample(self.sorted_values)
         if self.sorted_values.size == 0:
             raise EmptyCrossSection("survival curve needs at least one value")
-        if not np.isfinite(self.sorted_values).all():
-            raise ValueError("survival curve values must be finite")
         if np.any(np.diff(self.sorted_values) < 0):
             raise ValueError("sorted_values must be ascending")
 
@@ -310,10 +306,7 @@ class SurvivalCurve:
 
 
 def survival_curve(x: npt.ArrayLike) -> SurvivalCurve:
-    arr = _sample(x)
-    if arr.size == 0:
-        raise EmptyCrossSection("survival curve needs at least one value")
-    return SurvivalCurve(sorted_values=np.sort(arr))
+    return SurvivalCurve(sorted_values=np.sort(_sample(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -104,11 +104,13 @@ class HillSweep:
 def hill_k_sweep(x: npt.ArrayLike, k_values: list[int] | None = None) -> HillSweep:
     """Hill estimates at each integer k of ``k_values`` (default 1..n-1), for
     diagnostic plots, from one sort and one cumulative sum; degenerate ks are
-    left out. Errors come as from one estimate per k in turn: BadK for the
-    first k, ValueError for a sample that is not strictly positive and
-    finite, then BadK for the first other k out of range. A sample or
-    ``k_values`` that is not 1-d raises ValueError before any of these."""
+    left out. The sample is checked before any k: ValueError for one that is
+    not 1-d, finite and strictly positive, then ValueError for ``k_values``
+    that are not 1-d, TypeError for ks that are not integers and BadK for the
+    first k out of range."""
     arr = _sample(x)
+    if np.any(arr <= 0.0):
+        raise ValueError("sample must be strictly positive")
     n = int(arr.size)
     ks = np.arange(1, n) if k_values is None else np.asarray(k_values)
     if ks.ndim != 1:
@@ -118,10 +120,6 @@ def hill_k_sweep(x: npt.ArrayLike, k_values: list[int] | None = None) -> HillSwe
     if ks.dtype.kind not in "iu":
         raise TypeError(f"k must be an integer, got {ks.dtype} values")
     bad = (ks < 1) | (ks >= n)
-    if bad[0]:
-        raise BadK(int(ks[0]), n)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("sample must be strictly positive and finite")
     if bad.any():
         raise BadK(int(ks[bad.argmax()]), n)
     sums = _hill_sums(np.sort(arr)[::-1], ks)
@@ -136,7 +134,7 @@ def hill_estimator(x: npt.ArrayLike, k: int) -> TailEstimate:
     Parameters
     ----------
     x:
-        Strictly positive sample, any order.
+        Strictly positive, finite 1-d sample, any order.
     k:
         Number of upper order statistics, an integer with 1 <= k < len(x).
 
@@ -148,6 +146,8 @@ def hill_estimator(x: npt.ArrayLike, k: int) -> TailEstimate:
 
     Raises
     ------
+    ValueError
+        If the sample is not 1-d, finite and strictly positive, before any k.
     BadK
         If k is out of range.
     DegenerateTail
@@ -241,11 +241,11 @@ def _top_order_statistics(
     """The ``width`` largest present values of each selected row, largest
     first, NaN-padded.
 
-    One negated copy of the selected rows is sorted in place (NaN goes
-    last) and only its first ``width`` columns are kept.
+    One negated copy of the selected rows is sorted in place (NaN, a
+    panel's only missing value, goes last) and only its first ``width``
+    columns are kept.
     """
     work = values[rows]
-    work[~np.isfinite(work)] = np.nan
     np.negative(work, out=work)
     work.sort(axis=1)
     return -work[:, :width]

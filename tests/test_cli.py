@@ -197,6 +197,21 @@ def test_reversed_year_range_is_named(capsys):
         assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --years: {message}")
 
 
+@pytest.mark.parametrize("years, item", [("abc", "abc"), ("2004-", "2004-"),
+                                         ("2004, x-2005", "x-2005")])
+def test_a_year_that_is_not_an_integer_is_named(years, item, capsys):
+    assert main(["sweep", "p.csv", "--years", years]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --years: not a year or year range: {item!r}")
+
+
+def test_trefs_items_are_stripped_as_years_items_are(wide_csv, capsys):
+    assert main(["sweep", wide_csv, "--trefs", "2020-01-02,2020-01-04"]) == EXIT_OK
+    want = capsys.readouterr().out
+    assert main(["sweep", wide_csv, "--trefs", " 2020-01-02, 2020-01-04 ,"]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
 def test_huge_year_range_exits_without_expanding_it(small_csv, capsys):
     tracemalloc.start()
     try:
@@ -242,7 +257,7 @@ def test_peak_memory_is_the_price_matrix_and_a_few_chunks(command, big_panel, tm
     nbytes = panel.prices.nbytes
     assert nbytes > 4 * CHUNK_BYTES
     # the price matrix, up to twice its rows while ingest grows it, and a few chunks of
-    # performances; a whole performance matrix brought the peak to 3.3x the prices
+    # performances; a whole performance matrix takes the peak to 3.0x the prices
     assert peak <= 2 * nbytes + 3 * CHUNK_BYTES
 
 
@@ -641,6 +656,15 @@ def test_analytic_only_builds_no_correlation_spec(monkeypatch, capsys):
         argv = ["simulate", "--n", n, "--analytic-only", *table]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.count("analytic") == (11 if table else 1)
+
+
+@pytest.mark.parametrize("extra", [[], ["--analytic-only"]])
+def test_simulate_needs_a_replication_with_or_without_simulating(extra, capsys):
+    assert main(["simulate", "--n", "5", "--m-reps", "-3", *extra]) == EXIT_DATA
+    assert capsys.readouterr() == ("", "crossdisp: need at least 1 replication, got -3\n")
+    # the universe size is checked first
+    assert main(["simulate", "--n", "1", "--m-reps", "0", *extra]) == EXIT_DATA
+    assert capsys.readouterr().err == "crossdisp: universe size must be at least 2\n"
 
 
 def test_simulate_full_correlation_kills_dispersion(tmp_path):

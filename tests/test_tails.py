@@ -345,10 +345,10 @@ def reference_hill_estimator(x, k):
     """Direct Hill formula: the mean of log(x / threshold) over the top k."""
     arr = np.asarray(x, dtype=np.float64)
     n = int(arr.size)
-    if not 1 <= k < n:
-        raise BadK(k, n)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("sample must be strictly positive and finite")
+    if not 1 <= k < n:
+        raise BadK(k, n)
     ordered = np.sort(arr)
     mean_log_excess = float(np.mean(np.log(ordered[n - k:] / ordered[n - k - 1])))
     if mean_log_excess == 0.0:
@@ -455,6 +455,7 @@ def test_hill_k_sweep_matches_per_k_reference(sample, scale, data):
         ([1.0], None),
         ([2.0, 2.0, 2.0], None),
         ([1.0, 2.0, 3.0], []),
+        ([1.0, np.inf, 3.0], [5]),  # the sample is checked before any k
     ],
 )
 def test_hill_k_sweep_errors_match_reference(sample, k_values):
@@ -475,7 +476,7 @@ def performance_panels(draw):
     """A reference row of ones, then rows with ties, gaps and small sizes."""
     width = draw(st.integers(1, 30))
     n_rows = draw(st.integers(1, 8))
-    cells = st.one_of(TIED_VALUES, st.sampled_from([np.nan, np.nan, np.inf, -np.inf]))
+    cells = st.one_of(TIED_VALUES, st.just(np.nan))
     values = np.array(
         [[1.0] * width]
         + [draw(st.lists(cells, min_size=width, max_size=width)) for _ in range(n_rows)]
