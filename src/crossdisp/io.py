@@ -7,14 +7,20 @@ Duplicate dates, non-positive prices and anything unparsable are
 rejected with the offending line and column (1-based). Rows may arrive
 in any order; the panel is sorted by date after loading.
 
-Ingest is streamed: the file is read row by row, each row's prices are
-converted and checked together, and only a row that fails the check is
-parsed again cell by cell to name its first bad cell. Rows fill one
-float64 matrix, doubled in place (``ndarray.resize``) when full, trimmed
-at the end, reordered only if the dates came unsorted and adopted by the
-panel, so peak memory follows the matrix, not the file text or the heap's
-layout. Non-UTF-8 bytes and text the csv module cannot split (such as an
-oversized field) raise a DataError.
+Ingest is streamed in blocks of whole lines of about 32 KiB. Each block's
+dates are split off and parsed in Python and its prices in C by
+``np.loadtxt``; a block is taken only if every cell is a price in (0, inf)
+and every date is new. The first block refused (a panel with empty, quoted
+or whitespace-only cells, say) and every line after it go through the row
+reader, with the same result: each row's prices are converted and checked
+together, and only a row that fails the check is parsed again cell by cell
+to name its first bad cell. So every error is raised first in file order,
+naming the physical line it starts on. Rows fill one float64 matrix,
+doubled in place (``ndarray.resize``) when full, trimmed at the end,
+reordered only if the dates came unsorted and adopted by the panel, so peak
+memory follows the matrix, not the file text or the heap's layout.
+Non-UTF-8 bytes and text the csv module cannot split (such as an oversized
+field) raise a DataError.
 
 ``tref_sweep`` is the normalize / dispersion / tail step of both
 ``analyze`` (one reference date) and ``sweep``, run one performance
@@ -57,7 +63,7 @@ from io import StringIO
 from itertools import chain, islice
 from json.encoder import JSONEncoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -140,12 +146,17 @@ def _parse_prices(cells: list[str], line: int) -> FloatArray:
     )
 
 
+# bytes of whole lines parsed as one block (the last line may run past them): a block is
+# small next to the matrix however long its lines are
+_BLOCK = 1 << 15
+
+
 def load_price_panel(path: str | Path) -> PricePanel:
     """Read a price panel in the CSV format of the module docstring."""
     path = Path(path)
     try:
         with path.open(encoding="utf-8-sig") as handle:
-            dates, tickers, matrix = _read_panel(csv.reader(handle))
+            dates, tickers, matrix = _read_panel(handle)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -155,13 +166,62 @@ def load_price_panel(path: str | Path) -> PricePanel:
     return PricePanel(dates=dates, tickers=tickers, prices=matrix)
 
 
+def _has_long_field(text: str) -> bool:
+    """True if ``text`` may hold a field longer than the csv module's limit: every
+    such field spans a whole aligned window of half the limit without a comma."""
+    half = max(csv.field_size_limit() // 2, 1)
+    return len(text) > 2 * half and any(
+        text.find(",", start, start + half) < 0 for start in range(0, len(text), half))
+
+
+def _parse_block(
+    lines: list[str], width: int, seen: dict[dt.date, None]
+) -> tuple[list[dt.date], FloatArray] | None:
+    """The dates and prices of whole lines, the prices parsed in C by ``np.loadtxt``.
+
+    None if the row reader must read the lines: a blank line, a field the csv
+    module may refuse, a cell loadtxt cannot parse (empty, quoted, ``1_0``), a row
+    of the wrong length, a bad date or one already read, or a price outside
+    (0, inf). So every block this accepts, the row reader reads the same.
+    """
+    if "\n" in lines or _has_long_field("".join(lines)):
+        return None
+    parts = [line.partition(",") for line in lines]
+    cells = [rest for _, _, rest in parts]
+    if "" in cells or "\n" in cells:
+        return None  # loadtxt would skip the line, or warn if it read no line at all
+    try:
+        dates = [_ymd(when.strip()) for when, _, _ in parts]
+        prices = np.loadtxt(cells, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    # NaN fails both comparisons
+    if (prices.shape != (len(lines), width) or not prices.min() > 0.0
+            or not prices.max() < math.inf or len(set(dates)) < len(dates)
+            or not seen.keys().isdisjoint(dates)):
+        return None
+    return dates, prices
+
+
+def _reserve(rows: FloatArray, count: int) -> None:
+    """Double ``rows`` in place until it holds ``count`` rows."""
+    size = len(rows)
+    while size < count:
+        size *= 2
+    if size > len(rows):
+        rows.resize((size, rows.shape[1]), refcheck=False)
+
+
 def _read_panel(
-    reader: Iterator[list[str]],
+    handle: TextIO,
 ) -> tuple[tuple[dt.date, ...], tuple[str, ...], FloatArray]:
     """Dates, tickers and price matrix, sorted by date.
 
-    Rows are checked in file order, so the first bad row raises.
+    Blocks of lines go through ``_parse_block``; the first block it refuses
+    and every line after it go through the row reader, which checks rows in
+    file order, so the first bad row raises.
     """
+    reader = csv.reader(handle)
     try:
         header = next(reader)
     except StopIteration:
@@ -178,7 +238,22 @@ def _read_panel(
 
     seen: dict[dt.date, None] = {}  # the dates in file order
     rows = np.empty((64, len(tickers)))  # one matrix, grown in place (see above)
-    for line_no, row in enumerate(reader, start=2):
+    done = reader.line_num  # the lines read so far
+    while lines := handle.readlines(_BLOCK):
+        block = _parse_block(lines, len(tickers), seen)
+        if block is None:
+            break
+        dates, prices = block
+        _reserve(rows, len(seen) + len(dates))
+        rows[len(seen):len(seen) + len(dates)] = prices
+        seen.update(dict.fromkeys(dates))
+        done += len(lines)
+
+    # the row reader, from the refused block on (no lines if none was refused)
+    reader = csv.reader(chain(lines, handle))
+    start = done + 1  # a row starts on the line after the previous row ended
+    for row in reader:
+        line_no, start = start, done + reader.line_num + 1
         if not row:
             continue
         if len(row) != len(header):
@@ -191,8 +266,7 @@ def _read_panel(
             raise ParseError(line_no, 1, f"bad date: {row[0]!r}") from None
         if when in seen:
             raise DuplicateDate(when)
-        if len(seen) == len(rows):
-            rows.resize((2 * len(rows), len(tickers)), refcheck=False)
+        _reserve(rows, len(seen) + 1)
         rows[len(seen)] = _parse_prices(row[1:], line_no)
         seen[when] = None
 

@@ -280,10 +280,10 @@ class SurvivalCurve:
 
     def __post_init__(self) -> None:
         _freeze(self, sorted_values=np.float64)
-        _sample(self.sorted_values)
-        if self.sorted_values.size == 0:
+        values = _sample(self.sorted_values)
+        if values.size == 0:
             raise EmptyCrossSection("survival curve needs at least one value")
-        if np.any(np.diff(self.sorted_values) < 0):
+        if np.any(values[1:] < values[:-1]):
             raise ValueError("sorted_values must be ascending")
 
     @property
@@ -306,7 +306,12 @@ class SurvivalCurve:
 
 
 def survival_curve(x: npt.ArrayLike) -> SurvivalCurve:
-    return SurvivalCurve(sorted_values=np.sort(_sample(x)))
+    """The survival curve of one cross-section, checked once, by the record."""
+    values = np.asarray(x, dtype=np.float64)
+    if values.ndim:  # a scalar has no axis to sort along; the record rejects it
+        values = np.sort(values)
+        values.setflags(write=False)  # so that SurvivalCurve adopts it
+    return SurvivalCurve(sorted_values=values)
 
 
 # ---------------------------------------------------------------------------

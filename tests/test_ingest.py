@@ -1,4 +1,4 @@
-"""The streamed CSV loader against the plain per-cell reference loader."""
+"""The block-wise CSV loader against the plain per-cell reference loader."""
 
 import csv
 import datetime as dt
@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from io import StringIO
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from crossdisp import (
     load_price_panel,
     write_price_panel,
 )
+from crossdisp import io as crossdisp_io
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,9 @@ def reference_load_price_panel(path):
 
     rows = []
     seen = set()
-    for line_no, row in enumerate(reader, start=2):
+    start = reader.line_num + 1  # a row starts on the line after the previous row ended
+    for row in reader:
+        line_no, start = start, reader.line_num + 1
         if not row:
             continue
         if len(row) != len(header):
@@ -112,6 +116,7 @@ BAD_DATES = ["", "x", "2020-02-30", "01/02/2020", "20200102", "2020-W01-4", "202
 TOKENS = [
     "", " ", "  ", "nan", "NaN", "inf", "-inf", "1e400", "-1", "0", "-0",
     "x", "1_0", "+4", '"5"', " 7 ", '""', "1e-320", "2.5",
+    "1e309", "infinity", "-infinity", "1e-400", "6#x", "\u0663", "0x10", "\x1c1",
 ]
 GOOD_CELLS = st.one_of(
     st.just(""),
@@ -153,6 +158,9 @@ def test_each_token_matches_reference(token, tmp_path):
     path = tmp_path / "token.csv"
     path.write_text(f"date,A,B,C\n2020-01-03,1,{token},2\n2020-01-02,3,4,\n", encoding="utf-8")
     assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
+    # no other cell empty, so the token meets np.loadtxt, last in its row
+    path.write_text(f"date,A,B,C\n2020-01-03,1,2,{token}\n2020-01-02,3,4,5\n", encoding="utf-8")
+    assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,6 +168,103 @@ def test_each_token_matches_reference(token, tmp_path):
 def test_streamed_loader_matches_reference(text, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "generated.csv"
     path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
+
+
+FULL_CELLS = st.one_of(
+    st.sampled_from(["+4", " 7 ", "2.50", "1e-320"]),
+    st.floats(min_value=1e-300, max_value=1e300).map(repr),
+)
+REFUSALS = ["wild", "blank", "ragged", "quoted", "quoted over two lines", "bad date",
+            "earlier date", "gap"]
+
+
+@st.composite
+def multi_block_texts(draw):
+    """Rows in any order, every cell present, so that the block parser reads them,
+    and after the first row up to two rows that it refuses in one of several ways."""
+    width = draw(st.integers(1, 4))
+    days = draw(st.permutations(range(60)))[:draw(st.integers(2, 40))]
+    rows = [[(dt.date(2020, 1, 1) + dt.timedelta(days=day)).isoformat(),
+             *draw(st.lists(FULL_CELLS, min_size=width, max_size=width))] for day in days]
+    blanks = []
+    for at in draw(st.lists(st.integers(1, len(rows) - 1), max_size=2, unique=True)):
+        col = draw(st.integers(1, width))
+        kind = draw(st.sampled_from(REFUSALS))
+        if kind == "wild":
+            rows[at][col] = draw(WILD_CELLS)
+        elif kind == "blank":
+            blanks.append(at)
+        elif kind == "ragged":
+            rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["1"]
+        elif kind == "quoted":
+            rows[at][col] = f'"{rows[at][col]}"'
+        elif kind == "quoted over two lines":
+            rows[at][col] = f'"{rows[at][col]}\n"'
+        elif kind == "bad date":
+            rows[at][0] = draw(st.sampled_from(BAD_DATES))
+        elif kind == "earlier date":
+            rows[at][0] = rows[draw(st.integers(0, at - 1))][0]
+        else:
+            rows[at][col] = ""
+    for at in sorted(blanks, reverse=True):
+        rows.insert(at, [])
+    lines = ["date," + ",".join(f"T{i}" for i in range(width))] + [",".join(r) for r in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=multi_block_texts(), block=st.integers(1, 160))
+def test_block_parser_matches_reference(text, block, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with patch.object(crossdisp_io, "_BLOCK", block):
+        assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
+
+
+def test_a_panel_without_gaps_never_reaches_the_row_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(13)
+    n_dates, n_stocks = 300, 40
+    panel = PricePanel(
+        dates=tuple(dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(n_dates)),
+        tickers=tuple(f"S{i:02d}" for i in range(n_stocks)),
+        prices=np.exp(rng.normal(3.0, 1.0, (n_dates, n_stocks))),
+    )
+    path = tmp_path / "panel.csv"
+    write_price_panel(panel, path)
+    assert path.stat().st_size > 4 * crossdisp_io._BLOCK
+
+    def row_reader(cells, line):
+        raise AssertionError(f"line {line} went through the row reader")
+
+    monkeypatch.setattr(crossdisp_io, "_parse_prices", row_reader)
+    loaded = load_price_panel(path)
+    assert loaded.dates == panel.dates
+    assert loaded.prices.tobytes() == panel.prices.tobytes()
+
+
+def test_error_lines_are_physical_lines(tmp_path):
+    # the quoted cell spans lines 2 and 3, so the bad cell is on line 4
+    path = tmp_path / "quoted.csv"
+    path.write_text('date,A,B\n2004-01-02,"1\n",2\n2004-01-03,2,x\n', encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^line 4, column 3: not a number: 'x'$"):
+        load_price_panel(path)
+    assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
+
+
+def test_a_field_longer_than_the_csv_limit_is_refused(tmp_path):
+    # np.loadtxt has no field limit; the row reader reads the block and the csv module
+    # refuses the field, as it does on its own
+    digits = csv.field_size_limit() + 10
+    path = tmp_path / "long.csv"
+    path.write_text(f"date,A,B\n2020-01-02,1,2\n2020-01-03,1.{'0' * digits},2\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=r"malformed CSV \(field larger than field limit"):
+        load_price_panel(path)
+    # a field just under the limit is a price
+    path.write_text(f"date,A,B\n2020-01-02,1,2\n2020-01-03,1.{'0' * (digits - 20)},2\n",
+                    encoding="utf-8")
     assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
 
 

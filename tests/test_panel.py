@@ -295,6 +295,19 @@ def test_survival_curve_rejects_unsorted_values():
         SurvivalCurve(sorted_values=np.array([2.0, 1.0]))
 
 
+def test_survival_curve_holds_one_copy_of_its_sample():
+    sample = np.random.default_rng(5).random(1_000_000)
+    tracemalloc.start()
+    try:
+        curve = survival_curve(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not curve.sorted_values.flags.writeable
+    # the sorted copy, adopted by the record, and the finiteness check's booleans
+    assert peak <= 1.5 * sample.nbytes
+
+
 @settings(max_examples=60)
 @given(
     st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=40),
@@ -516,24 +529,10 @@ REJECTED = {
         ValueError, "performance values must be strictly positive"),
     "empty survival curve": (lambda: SurvivalCurve(sorted_values=[]),
                              EmptyCrossSection, "needs at least one value"),
-    "survival curve of NaN": (lambda: survival_curve([1.0, np.nan, 2.0]),
-                              ValueError, "expected a finite sample"),
-    "survival curve of +inf": (lambda: SurvivalCurve(sorted_values=[1.0, np.inf]),
-                               ValueError, "expected a finite sample"),
-    "survival curve of -inf": (lambda: survival_curve([1.0, -np.inf]),
-                               ValueError, "expected a finite sample"),
-    "survival curve of a matrix": (lambda: survival_curve([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-                                   ValueError, "expected a 1-d sample"),
     "survival curve record of a matrix": (lambda: SurvivalCurve(sorted_values=[[1.0, 2.0]]),
                                           ValueError, "expected a 1-d sample"),
     "survival curve of a scalar": (lambda: survival_curve(5.0),
                                    ValueError, "expected a 1-d sample"),
-    "survival value of a matrix": (lambda: survival_value([[1.0, 2.0], [3.0, 4.0]], 1.5),
-                                   ValueError, "expected a 1-d sample"),
-    "moments of a matrix": (lambda: cross_sectional_moments([[1.0, 2.0], [3.0, 4.0]]),
-                            ValueError, "expected a 1-d sample"),
-    "pairwise of a matrix": (lambda: pairwise_dispersion([[1.0, 2.0], [3.0, 5.0]]),
-                             ValueError, "expected a 1-d sample"),
     "pairwise of one": (lambda: pairwise_dispersion([1.0]),
                         TooFewStocks, "need at least 2 stocks, found 1"),
     "dispersion of a vector": (lambda: dispersion_values([1.0, 2.0]),
@@ -572,6 +571,11 @@ NOT_A_SAMPLE = {
     "+inf": ([1.0, 2.0, np.inf], "expected a finite sample"),
     "-inf": ([-np.inf, 1.0, 2.0], "expected a finite sample"),
     "matrix": ([[1.0, 2.0], [3.0, 4.0]], "expected a 1-d sample"),
+    "NaN inside": ([1.0, np.nan, 2.0], "expected a finite sample"),
+    "+inf of two": ([1.0, np.inf], "expected a finite sample"),
+    "-inf last": ([1.0, -np.inf], "expected a finite sample"),
+    "2x3 matrix": ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "expected a 1-d sample"),
+    "unequal matrix": ([[1.0, 2.0], [3.0, 5.0]], "expected a 1-d sample"),
 }
 
 

@@ -557,16 +557,12 @@ def test_detect_extremes_matches_loop_reference(series, window, with_dates):
 
 # each call, the error it raises and a fragment of its message
 REJECTED = {
-    "sweep of a matrix": (lambda: hill_k_sweep([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-                          ValueError, "expected a 1-d sample"),
     "sweep of a matrix, no k": (lambda: hill_k_sweep([[1.0, 2.0, 3.0]], []),
                                 ValueError, "expected a 1-d sample"),
     "sweep of a k matrix": (lambda: hill_k_sweep([1.0, 2.0, 3.0, 4.0], [[1, 2]]),
                             ValueError, "expected 1-d k values"),
     "sweep of a scalar k": (lambda: hill_k_sweep([1.0, 2.0, 3.0, 4.0], 2),
                             ValueError, "expected 1-d k values"),
-    "hill of a matrix": (lambda: hill_estimator([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 1),
-                         ValueError, "expected a 1-d sample"),
     "extremes of a matrix": (lambda: detect_extremes([[1.0, 2.0, 1.0]], 1),
                              ValueError, "expected a 1-d series"),
     "extremes misdated": (lambda: detect_extremes([1.0, 2.0, 1.0], 1, dates=(d("2003-01-02"),)),
