@@ -533,7 +533,11 @@ REJECTED = {
                                           ValueError, "expected a 1-d sample"),
     "survival curve of a scalar": (lambda: survival_curve(5.0),
                                    ValueError, "expected a 1-d sample"),
-    "pairwise of one": (lambda: pairwise_dispersion([1.0]),
+    "survival value of a matrix": (lambda: survival_value([[1.0, 2.0], [3.0, 4.0]], 1.5),
+                                   ValueError, "expected a 1-d sample"),
+    "moments of a matrix": (lambda: cross_sectional_moments([[1.0, 2.0], [3.0, 4.0]]),
+                            ValueError, "expected a 1-d sample"),
+    "pairwise of one":(lambda: pairwise_dispersion([1.0]),
                         TooFewStocks, "need at least 2 stocks, found 1"),
     "dispersion of a vector": (lambda: dispersion_values([1.0, 2.0]),
                                ValueError, "expected a 2-d matrix"),
