@@ -250,7 +250,8 @@ def _format_table(table: RhoSweepTable) -> Iterator[str]:
     yield f"n={table.n} reps={table.reps} sigma={table.sigma!r} seed={table.seed}\n"
     yield f"{'rho':>6}  {'mean_vn':>14}  {'se_vn':>12}  {'expected':>14}  source\n"
     for row in table.rows:
-        se = f"{row.se_vn:.6e}" if row.se_vn is not None else "-"
+        # undefined (analytic, or one replication) prints "-", as CSV leaves it empty
+        se = f"{row.se_vn:.6e}" if row.se_vn is not None and math.isfinite(row.se_vn) else "-"
         yield (f"{row.rho!r:>6}  {row.mean_vn:>14.6e}  {se:>12}  "
                f"{row.expected:>14.6e}  {row.source}\n")
 

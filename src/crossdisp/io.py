@@ -9,16 +9,16 @@ in any order; the panel is sorted by date after loading.
 
 Ingest is streamed in blocks of whole lines of about 32 KiB. Each block's
 dates are split off and parsed in Python and its prices in C by
-``np.loadtxt``; a block is taken only if every cell is a price in (0, inf)
-and every date is new. The first block refused (a panel with empty, quoted
-or whitespace-only cells, say) and every line after it go through the row
-reader, with the same result: each row's prices are converted and checked
-together, and only a row that fails the check is parsed again cell by cell
-to name its first bad cell. So every error is raised first in file order,
-naming the physical line it starts on. Rows fill one float64 matrix,
-doubled in place (``ndarray.resize``) when full, trimmed at the end,
-reordered only if the dates came unsorted and adopted by the panel, so peak
-memory follows the matrix, not the file text or the heap's layout.
+``np.loadtxt``, each empty cell written as ``nan``; a block is taken only
+if every cell that is not empty is a price in (0, inf) and every date is
+new. The first block refused (one with a quoted, whitespace-only or
+unparsable cell, say) and every line after it go through the row reader,
+which converts each cell on its own, with the same result. So every error is
+raised first in file order, naming the physical line it starts on. Rows
+fill one float64 matrix, doubled in place (``ndarray.resize``) when full,
+trimmed at the end, reordered only if the dates came unsorted and adopted
+by the panel, so peak memory follows the matrix, not the file text or the
+heap's layout.
 Non-UTF-8 bytes and text the csv module cannot split (such as an oversized
 field) raise a DataError.
 
@@ -26,7 +26,8 @@ field) raise a DataError.
 ``analyze`` (one reference date) and ``sweep``, run one performance
 chunk at a time; each reference date's series form one ``SweepEntry``.
 Its dispersion and tail tables are formatted from the series' columns
-over one date column (a tail gap has empty alpha, k, n and method cells).
+over one date column (a tail gap has empty alpha, k and method cells but
+keeps its n).
 
 There are five reports, the ones the commands write: ``AnalysisReport``
 (analyze), ``SweepResult`` (sweep), ``SurvivalCurve`` and ``HillSweep``
@@ -82,6 +83,7 @@ from .panel import (
     PerformancePanel,
     PricePanel,
     SurvivalCurve,
+    _any_nonpositive_or_infinite,
     _freeze,
     dispersion_series,
     performance_chunks,
@@ -122,30 +124,6 @@ def _ymd(text: str) -> dt.date:
     return dt.date.fromisoformat(text if len(text) == 10 and text[4] + text[7] == "--" else "")
 
 
-def _parse_prices(cells: list[str], line: int) -> FloatArray:
-    """One row's prices, empty cells as NaN.
-
-    numpy converts the whole row with ``float`` and one vectorized test
-    checks it; only a row that fails goes through ``_parse_price`` cell
-    by cell, which raises the error of its first offending cell or, for
-    cells that are only whitespace, returns the row.
-    """
-    n_empty = cells.count("")
-    try:
-        values = np.array(
-            [cell or "nan" for cell in cells] if n_empty else cells, dtype=np.float64
-        )
-    except ValueError:
-        pass
-    else:
-        # NaN fails both comparisons, so only the empty cells may miss
-        if np.count_nonzero((values > 0.0) & (values < math.inf)) == len(cells) - n_empty:
-            return values
-    return np.array(
-        [_parse_price(cell, line, col) for col, cell in enumerate(cells, start=2)]
-    )
-
-
 # bytes of whole lines parsed as one block (the last line may run past them): a block is
 # small next to the matrix however long its lines are
 _BLOCK = 1 << 15
@@ -175,30 +153,42 @@ def _has_long_field(text: str) -> bool:
 
 
 def _parse_block(
-    lines: list[str], width: int, seen: dict[dt.date, None]
+    lines: list[str], width: int, seen: dict[dt.date, None], gappy: bool
 ) -> tuple[list[dt.date], FloatArray] | None:
-    """The dates and prices of whole lines, the prices parsed in C by ``np.loadtxt``.
+    """The dates and prices of whole lines, the prices parsed in C by ``np.loadtxt``;
+    if ``gappy``, each empty cell is written as ``nan`` first.
 
     None if the row reader must read the lines: a blank line, a field the csv
-    module may refuse, a cell loadtxt cannot parse (empty, quoted, ``1_0``), a row
-    of the wrong length, a bad date or one already read, or a price outside
-    (0, inf). So every block this accepts, the row reader reads the same.
+    module may refuse, an ``n`` or ``N`` (every spelling of nan or inf that ``float``
+    takes has one, so NaN comes only from empty cells), a cell loadtxt cannot parse
+    (quoted, whitespace-only, ``1_0``), a line with no price cell, a row of the wrong
+    length, a bad date or one already read, or a price outside (0, inf). So every
+    block this accepts, the row reader reads the same.
     """
-    if "\n" in lines or _has_long_field("".join(lines)):
+    text = "".join(lines)
+    if "\n" in lines or _has_long_field(text) or "n" in text or "N" in text:
         return None
+    del text  # the guards' copy of the block, freed before the parse
     parts = [line.partition(",") for line in lines]
     cells = [rest for _, _, rest in parts]
     if "" in cells or "\n" in cells:
         return None  # loadtxt would skip the line, or warn if it read no line at all
     try:
         dates = [_ymd(when.strip()) for when, _, _ in parts]
+        del parts
+        if gappy:
+            # with a comma before and after its cells, a line's empty cells are its
+            # ",,"; replace skips a match that overlaps the last, so a run takes two
+            # passes. Rewritten in place, so that each line's old cells go as its new
+            # ones come
+            for i, rest in enumerate(cells):
+                rest = "," + rest.removesuffix("\n") + ","
+                cells[i] = rest.replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
         prices = np.loadtxt(cells, delimiter=",", comments=None, quotechar=None, ndmin=2)
     except ValueError:
         return None
-    # NaN fails both comparisons
-    if (prices.shape != (len(lines), width) or not prices.min() > 0.0
-            or not prices.max() < math.inf or len(set(dates)) < len(dates)
-            or not seen.keys().isdisjoint(dates)):
+    if (prices.shape != (len(lines), width) or _any_nonpositive_or_infinite(prices)
+            or len(set(dates)) < len(dates) or not seen.keys().isdisjoint(dates)):
         return None
     return dates, prices
 
@@ -239,8 +229,14 @@ def _read_panel(
     seen: dict[dt.date, None] = {}  # the dates in file order
     rows = np.empty((64, len(tickers)))  # one matrix, grown in place (see above)
     done = reader.line_num  # the lines read so far
+    gappy = False  # from the first block with an empty cell on, every block is parsed as gappy
     while lines := handle.readlines(_BLOCK):
-        block = _parse_block(lines, len(tickers), seen)
+        block = _parse_block(lines, len(tickers), seen, gappy)
+        if block is None and not gappy:
+            # loadtxt refuses an empty cell; searching each block for one would cost a
+            # clean panel more than this retry costs a gappy one
+            gappy = True
+            block = _parse_block(lines, len(tickers), seen, gappy)
         if block is None:
             break
         dates, prices = block
@@ -267,7 +263,8 @@ def _read_panel(
         if when in seen:
             raise DuplicateDate(when)
         _reserve(rows, len(seen) + 1)
-        rows[len(seen)] = _parse_prices(row[1:], line_no)
+        rows[len(seen)] = [_parse_price(cell, line_no, col)
+                           for col, cell in enumerate(row[1:], start=2)]
         seen[when] = None
 
     rows.resize((len(seen), len(tickers)), refcheck=False)
@@ -501,9 +498,8 @@ def _series_tables(entry: SweepEntry) -> dict[str, _Table]:
                    disp.count[s].tolist())
 
     def tail_rows(s: slice, dates: str) -> Iterable[tuple[Any, ...]]:
-        gap = tails.k[s] == 0
-        return zip(dates.split("\n"), _jf_all(tails.alpha[s]),
-                   *(np.where(gap, None, c).tolist() for c in (tails.k[s], tails.n[s], HILL)))
+        k, method = (np.where(tails.k[s] == 0, None, c).tolist() for c in (tails.k[s], HILL))
+        return zip(dates.split("\n"), _jf_all(tails.alpha[s]), k, tails.n[s].tolist(), method)
 
     return {
         "dispersion": _Table(("date", "mean", "variance", "count"),

@@ -691,6 +691,16 @@ def test_simulate_rho_sweep_table(capsys):
         assert source == ("analytic" if rho < -1.0 / 49 else "simulated")
 
 
+def test_one_replication_prints_an_undefined_se_as_a_dash(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--n", "3", "--m-reps", "1", "--seed", "2",
+                 "--out", str(out), "--format", "json"]) == EXIT_OK
+    row = capsys.readouterr().out.strip().split("\n")[2].split()
+    # rho, mean_vn, se_vn, expected, source: no spread from a single replication
+    assert row[2] == "-" and row[4] == "simulated"
+    assert json.loads(out.read_text(encoding="utf-8"))["series"][0]["se_vn"] is None
+
+
 def test_simulate_table_out_csv(tmp_path):
     out = tmp_path / "table.csv"
     main(["simulate", "--table", "rho-sweep", "--n", "20", "--m-reps", "10",

@@ -457,8 +457,9 @@ def test_csv_nan_is_empty_cell(tmp_path):
 def test_tail_csv_gap_rows(tiny_panel, tmp_path):
     lines = csv_files(analysis_fixture(tiny_panel), tmp_path)["tail"].strip().split("\n")
     assert lines[0] == "date,alpha,k,n,method"
-    # the reference date row is a gap: every stock sits exactly at 1
-    assert lines[1] == "2003-01-02,,,,"
+    # the reference date row is a gap, a tied tail: every stock sits exactly at 1. It
+    # keeps its n, so that it reads apart from a gap with too few stocks
+    assert lines[1] == "2003-01-02,,,2,"
 
 
 def test_survival_csv(tiny_panel):

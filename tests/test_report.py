@@ -88,10 +88,11 @@ def ref_dispersion_rows(series):
 
 def ref_tail_rows(series):
     rows = []
-    for when, est in zip(series.dates, series.estimates):
+    for when, est, n in zip(series.dates, series.estimates, series.n.tolist()):
         if est is None:
+            # a gap keeps its cross-section size: n < min_n, or a tied tail
             rows.append({"date": when.isoformat(), "alpha": None, "k": None,
-                         "n": None, "method": None})
+                         "n": n, "method": None})
         else:
             rows.append({"date": when.isoformat(), "alpha": ref_jf(est.alpha),
                          "k": est.k, "n": est.n, "method": "hill"})
@@ -175,8 +176,8 @@ def ref_dispersion_csv(series):
 
 
 def ref_tail_csv(series):
-    rows = [[w, None, None, None, None] if e is None else [w, e.alpha, e.k, e.n, "hill"]
-            for w, e in zip(series.dates, series.estimates)]
+    rows = [[w, None, None, n, None] if e is None else [w, e.alpha, e.k, e.n, "hill"]
+            for w, e, n in zip(series.dates, series.estimates, series.n.tolist())]
     return ref_csv_from_rows(["date", "alpha", "k", "n", "method"], rows)
 
 
