@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import math
+import os
 import sys
 from collections.abc import Callable, Iterator
 from typing import Any
@@ -153,11 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="Monte Carlo cross-sectional dispersion")
     simulate.add_argument("--n", type=int, default=1000, help="universe size")
     simulate.add_argument("--m-reps", type=int, default=100, help="replications")
-    simulate.add_argument("--rho", type=_rho, default=0.0, help="common correlation")
+    # one of --rho and --table; added in place, so the usage line keeps its order
+    rho_or_table = simulate.add_mutually_exclusive_group()
+    rho_or_table.add_argument("--rho", type=_rho, default=0.0, help="common correlation")
     simulate.add_argument("--sigma", type=_sigma, default=1.0, help="common volatility")
     simulate.add_argument("--seed", type=_seed, default=0)
-    simulate.add_argument("--table", choices=("rho-sweep",),
-                          help="sweep rho over -1.0, -0.8, ..., 1.0 instead of one run")
+    rho_or_table.add_argument("--table", choices=("rho-sweep",),
+                              help="sweep rho over -1.0, -0.8, ..., 1.0 instead of one run")
     simulate.add_argument("--analytic-only", action="store_true",
                           help="skip sampling and report the closed-form value")
     simulate.add_argument("--workers", type=_workers, default=1,
@@ -291,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "analyze" and args.format == "csv" and not args.out:
             parser.error("analyze --format csv writes one file per table: give --out")
+        if (args.command == "survival" and args.out and args.hill_sweep
+                and os.path.realpath(args.out) == os.path.realpath(args.hill_sweep)):
+            parser.error("survival --out and --hill-sweep name the same file")
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

@@ -64,7 +64,7 @@ from io import StringIO
 from itertools import chain, islice
 from json.encoder import JSONEncoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, NamedTuple, TextIO
 
 import numpy as np
 
@@ -453,8 +453,7 @@ def _k_policy_meta(kp: KPolicy) -> dict[str, Any]:
     return {"k_fraction": kp.fraction, "min_n": kp.min_n}
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """Column names plus rows produced once, when rendered. Each cell is a
     str (dates in ISO form), an int, a float passed through ``_jf``, or None."""
 
@@ -476,8 +475,7 @@ class _Table:
         yield buf.getvalue()
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(NamedTuple):
     """A report's JSON meta block and tables; ``json_body`` replaces the tables in JSON."""
 
     meta: dict[str, Any]
@@ -599,7 +597,7 @@ def _json_text(value: Any, pad: str) -> Iterator[str]:
             yield from _json_text(item, inner)
             opening = ","
         yield "{}" if opening == "{" else f"\n{pad}}}"
-    elif isinstance(value, _Table):
+    elif isinstance(value, _Table):  # a NamedTuple, so tested before tuple
         fill = _object_template(value.columns, inner).__mod__
         rows = iter(value.rows)
         opening = "["

@@ -68,13 +68,14 @@ def _doubles(count: int, fill: float | None = None) -> FloatArray:
 
 
 def _eq_by_value(self: Any, other: object) -> bool:
-    """``==`` of a frozen dataclass that holds numpy arrays: same type and equal
-    fields, each array by shape and values (NaN equal to NaN)."""
+    """``==`` of a frozen dataclass that holds numpy arrays: same type and equal fields, each
+    array by shape and values, NaN equal to NaN in arrays and float fields alike. Records
+    declared ``eq=False`` set it in their body, which leaves them unhashable (no __hash__)."""
     if type(other) is not type(self):
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-               for a, b in pairs)
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+               else a == b or a != a and b != b for a, b in pairs)
 
 
 def _any_nonpositive_or_infinite(values: FloatArray) -> bool:
@@ -93,7 +94,7 @@ def _check_axes(dates: tuple[dt.date, ...], tickers: tuple[str, ...]) -> None:
         raise ValueError("tickers must be unique")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PricePanel:
     """Daily prices, one row per date and one column per ticker.
 
@@ -125,7 +126,7 @@ class PricePanel:
             raise RefDateAbsent(when) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerformancePanel:
     """Performance ratios relative to a fixed reference date.
 
@@ -266,7 +267,7 @@ def survival_value(x: npt.ArrayLike, z: float) -> float:
     return int(np.count_nonzero(arr > z)) / arr.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalCurve:
     """Empirical survival function of one cross-section.
 
@@ -360,7 +361,7 @@ def dispersion_values(rows: npt.ArrayLike) -> FloatArray:
     return matrix.var(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionSeries:
     """Per-date cross-sectional mean, variance and stock count.
 

@@ -51,7 +51,6 @@ scale that underflows) gives exact zeros and draws nothing.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +77,7 @@ class SimConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Replication summary: mean, standard error and variance of the
     per-replication dispersion ``per_rep`` (a read-only array), plus the
@@ -212,7 +211,8 @@ def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
     NotPSD; fewer than two stocks raise TooFewStocks, and a mean or
     variance outside the range of a double raises NumericalError.
     ``workers`` only sets how many threads execute the replication
-    blocks; it never changes the result.
+    blocks; it never changes the result. A full-matrix spec gains nothing
+    from a second worker: its ``z @ root`` already runs on BLAS threads.
     """
     if config.reps < 1:
         raise ZeroReps(config.reps)
@@ -244,6 +244,7 @@ def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
     if scale == 0.0:
         values.fill(0.0)  # every cross-section is constant
     elif workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported only where a pool starts
         with ThreadPoolExecutor(max_workers=tasks) as pool:
             list(pool.map(run_task, range(tasks)))
     else:

@@ -82,7 +82,7 @@ def _hill_sums(descending: FloatArray, ks: npt.NDArray[np.intp]) -> FloatArray:
     return np.take_along_axis(sums, (ks - 1)[:, None], axis=1)[:, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HillSweep:
     """Hill estimates of one sample across k, as columns: order statistics used
     ``k`` and exponent ``alpha``, one value per estimate."""
@@ -205,7 +205,7 @@ class KPolicy:
         return np.where(n < self.min_n, 0, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailSeries:
     """Per-date Hill estimates as columns, one value per date: exponent ``alpha``, order
     statistics used ``k``, cross-section size ``n``. A gap has alpha NaN and k 0."""

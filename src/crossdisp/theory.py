@@ -37,7 +37,7 @@ class Equicorrelation:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullMatrix:
     """An explicit correlation matrix: symmetric, unit diagonal, entries in [-1, 1]."""
 
@@ -57,7 +57,7 @@ class FullMatrix:
             raise ValueError("correlations must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationSpec:
     """Means, volatilities and correlation structure for an N-stock universe."""
 

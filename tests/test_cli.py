@@ -133,6 +133,9 @@ def test_exit_data_unreadable_text(tail, message, tmp_path, capsys):
         ["sweep", "p.csv", "--years", "2008-1998"],
         ["simulate", "--workers", "0"],
         ["simulate", "--workers", "-1"],
+        # the sweep sets every rho itself
+        ["simulate", "--table", "rho-sweep", "--rho", "0.5"],
+        ["simulate", "--rho", "0.0", "--table", "rho-sweep"],
     ],
 )
 def test_exit_usage_out_of_range_argument(argv, capsys):
@@ -386,6 +389,23 @@ def test_survival_hill_sweep_unwritable_path(wide_csv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("crossdisp: cannot write")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("panel", ["wide.csv", "missing.csv"])
+@pytest.mark.parametrize("out", ["hill.csv", "./hill.csv", "link.csv"])
+def test_survival_hill_sweep_and_out_on_one_file_is_a_usage_error(
+        panel, out, wide_csv, tmp_path, monkeypatch, capsys):
+    # the curve, written last, would replace the sweep; refused before the panel is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.csv").symlink_to("hill.csv")
+    code = main(["survival", panel, "--tref", "2020-01-02", "--date", "2020-01-05",
+                 "--hill-sweep", "hill.csv", "--out", out])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "crossdisp: error: survival --out and --hill-sweep name the same file")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "wide.csv"]
 
 
 # ---------------------------------------------------------------------------

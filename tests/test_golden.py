@@ -217,6 +217,16 @@ GOLDEN: dict[str, dict[str, int | str]] = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stderr": "2c15d64a20ac2d7574a63914eec0c5616823ba02bc7217c12d1e53ae0e44eb8f",
     },
+    "survival bubble.csv --tref 2004-01-02 --date 2004-11-15 --hill-sweep h.csv --out ./h.csv": {
+        "exit": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "6a88e739ee048a3cc50865bfe822f06af465633e4fbd8bb1830f960e1ce20e46",
+    },
+    "simulate --n 10 --table rho-sweep --rho 0.5": {
+        "exit": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "99c28d07a2ad3070589ccbd16d9af75a4522fd99a5ba7a17a35212652ae202c6",
+    },
 }
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import threading
 import tracemalloc
@@ -23,6 +24,7 @@ from crossdisp import (
     validate_feasibility,
     variance_decay_study,
 )
+import crossdisp.cli as cli_module
 import crossdisp.simulate as simulate_module
 from crossdisp.simulate import CHUNK_BYTES, REPLICATION_BLOCK
 from crossdisp.theory import Equicorrelation, FullMatrix
@@ -490,17 +492,85 @@ def test_equicorrelated_dispersion_with_several_sigmas_and_means_follows_the_exa
     assert statistic(shifted) > KS_CRITICAL_1PCT
 
 
+def _random_correlation(n, spec_seed, shift=0.0):
+    """A seeded positive-definite correlation matrix from three random factors, with
+    ``shift`` added to every off-diagonal entry."""
+    loadings = np.random.default_rng(spec_seed).normal(0.0, 0.6, (n, 3))
+    cov = loadings @ loadings.T + np.eye(n)
+    scale = 1.0 / np.sqrt(np.diag(cov))
+    corr = cov * np.outer(scale, scale) + shift
+    corr = (corr + corr.T) / 2.0
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def test_full_matrix_dispersion_with_several_sigmas_and_means_follows_the_exact_law():
+    # one-sample KS of per_rep against Imhof's CDF, whose Cholesky factor is independent
+    # of the sampler's eigh. At this seed sqrt(m) D is 1.09 for the exact law, 3.72 for
+    # draws scaled by 1.01 and 6.49 for draws with every correlation raised by 0.02
+    n, reps, seed = 30, 200_000, 20261020
+
+    def spec(shift):
+        base = _spread_spec(n, Equicorrelation(0.0), 23)
+        return CorrelationSpec(n=n, means=base.means, sigmas=base.sigmas,
+                               structure=FullMatrix(_random_correlation(n, 29, shift)))
+
+    def per_rep(shift):
+        return simulate_dispersion(SimConfig(spec=spec(shift), reps=reps, seed=seed)).per_rep
+
+    exact, shifted = per_rep(0.0), per_rep(0.02)
+    q = np.linspace(0.0, 1.02 * max(exact.max(), shifted.max()), 1001)
+    law = imhof_cdf(spec(0.0), q)
+
+    def statistic(sample):
+        return ks_statistic(sample, lambda v: np.interp(v, q, law))
+
+    assert statistic(exact) < KS_CRITICAL_1PCT
+    # the test has the power to reject a 1% scale error and a 0.02 error in the correlations
+    assert statistic(1.01 * exact) > KS_CRITICAL_1PCT
+    assert statistic(shifted) > KS_CRITICAL_1PCT
+
+
+def test_cli_single_rho_dispersion_follows_the_chi_square_law(monkeypatch, capsys):
+    # the SimResult that `simulate --rho` computes from its own spec and seed. At this
+    # seed sqrt(m) D is 1.10 for the exact law, 4.01 for draws scaled by 1.01 and
+    # 10.1 for the run at rho + 0.02
+    n, rho, sigma, reps = 30, 0.3, 1.5, 50_000
+    results = []
+
+    def recording(config, workers=1):
+        results.append(simulate_dispersion(config, workers=workers))
+        return results[-1]
+
+    monkeypatch.setattr(cli_module, "simulate_dispersion", recording)
+    for r in (rho, rho + 0.02):
+        argv = ["simulate", "--n", str(n), "--m-reps", str(reps), "--rho", repr(r),
+                "--sigma", repr(sigma), "--seed", "7"]
+        assert cli_module.main(argv) == cli_module.EXIT_OK
+    capsys.readouterr()
+
+    def statistic(per_rep):
+        x = n * per_rep / ((1.0 - rho) * sigma**2)
+        return ks_statistic(x, lambda v: regularized_lower_gamma((n - 1) / 2.0, v / 2.0))
+
+    exact, shifted = (result.per_rep for result in results)
+    assert statistic(exact) < KS_CRITICAL_1PCT
+    assert statistic(1.01 * exact) > KS_CRITICAL_1PCT
+    assert statistic(shifted) > KS_CRITICAL_1PCT
+
+
 @pytest.mark.parametrize("workers, blocks, expected", [(8, 2, 2), (5, 1, 1), (2, 3, 2)])
 def test_pool_has_no_more_threads_than_blocks(workers, blocks, expected, monkeypatch):
     requested = []
 
-    class RecordingPool(simulate_module.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             requested.append(max_workers)
             # never start more than two threads, whatever was asked
             super().__init__(max_workers=min(max_workers, 2))
 
-    monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
+    # simulate_dispersion imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(3, 0.1),
                     reps=(blocks - 1) * REPLICATION_BLOCK + 1, seed=5)
     pooled = simulate_dispersion(cfg, workers=workers)
