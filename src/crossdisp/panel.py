@@ -68,14 +68,13 @@ def _doubles(count: int, fill: float | None = None) -> FloatArray:
 
 
 def _eq_by_value(self: Any, other: object) -> bool:
-    """``==`` of a frozen dataclass that holds numpy arrays: same type and equal fields, each
-    array by shape and values, NaN equal to NaN in arrays and float fields alike. Records
-    declared ``eq=False`` set it in their body, which leaves them unhashable (no __hash__)."""
+    """``==`` of a frozen dataclass that holds numpy arrays: same type and equal
+    fields, each array by shape and values (NaN equal to NaN)."""
     if type(other) is not type(self):
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
-               else a == b or a != a and b != b for a, b in pairs)
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+               for a, b in pairs)
 
 
 def _any_nonpositive_or_infinite(values: FloatArray) -> bool:

@@ -12,8 +12,7 @@ def d(iso: str) -> dt.date:
     return dt.date.fromisoformat(iso)
 
 
-@pytest.fixture
-def tiny_panel() -> PricePanel:
+def make_tiny_panel() -> PricePanel:
     """Three dates, two stocks, no gaps."""
     return PricePanel(
         dates=(d("2003-01-02"), d("2003-01-03"), d("2003-01-06")),
@@ -22,8 +21,7 @@ def tiny_panel() -> PricePanel:
     )
 
 
-@pytest.fixture
-def gappy_panel() -> PricePanel:
+def make_gappy_panel() -> PricePanel:
     """Stock CCC is missing on the first and last date."""
     prices = np.array(
         [
@@ -37,6 +35,16 @@ def gappy_panel() -> PricePanel:
         tickers=("AAA", "BBB", "CCC"),
         prices=prices,
     )
+
+
+@pytest.fixture
+def tiny_panel() -> PricePanel:
+    return make_tiny_panel()
+
+
+@pytest.fixture
+def gappy_panel() -> PricePanel:
+    return make_gappy_panel()
 
 
 def pareto_grid(n: int, alpha: float) -> np.ndarray:

@@ -31,7 +31,7 @@ from conftest import d
 DATES = (d("2020-01-02"), d("2020-01-03"))
 
 # each record type built from one float: equal floats give equal records, built apart,
-# and NaN sits in every field that may hold it
+# and NaN sits in every array that may hold it
 RECORDS = {
     "PricePanel": lambda x: PricePanel(DATES, ("A", "B"), [[1.0, np.nan], [2.0, x]]),
     "PerformancePanel": lambda x: PerformancePanel(DATES[0], DATES, ("A", "B"),
@@ -40,9 +40,8 @@ RECORDS = {
     "DispersionSeries": lambda x: DispersionSeries(DATES, [1.0, x], [np.nan, 0.5], [1, 2]),
     "HillSweep": lambda x: HillSweep([1, 2], [1.5, x]),
     "TailSeries": lambda x: TailSeries(DATES, [np.nan, x], [0, 1], [3, 12]),
-    # one replication: se_vn and var_vn are NaN
     "SimResult": lambda x: simulate_dispersion(
-        SimConfig(CorrelationSpec.equicorrelated(3, 0.2), reps=1, seed=int(x))),
+        SimConfig(CorrelationSpec.equicorrelated(3, 0.2), reps=2, seed=int(x))),
     "FullMatrix": lambda x: FullMatrix([[1.0, x / 10.0], [x / 10.0, 1.0]]),
     "CorrelationSpec": lambda x: CorrelationSpec.with_matrix(np.eye(2), sigmas=[1.0, x]),
 }
