@@ -7,45 +7,34 @@ Duplicate dates, non-positive prices and anything unparsable are
 rejected with the offending line and column (1-based). Rows may arrive
 in any order; the panel is sorted by date after loading.
 
-Ingest is streamed in blocks of whole lines of about 32 KiB. Each block's
-dates are split off and parsed in Python and its prices in C by
-``np.loadtxt``, each empty cell written as ``nan``; a block is taken only
-if every cell that is not empty is a price in (0, inf) and every date is
-new. The first block refused (one with a quoted, whitespace-only or
-unparsable cell, say) and every line after it go through the row reader,
-which converts each cell on its own, with the same result. So every error is
-raised first in file order, naming the physical line it starts on. Rows
-fill one float64 matrix, doubled in place (``ndarray.resize``) when full,
-trimmed at the end, reordered only if the dates came unsorted and adopted
-by the panel, so peak memory follows the matrix, not the file text or the
-heap's layout.
-Non-UTF-8 bytes and text the csv module cannot split (such as an oversized
-field) raise a DataError.
+Ingest is streamed in blocks of whole lines of about 32 KiB. A block's dates
+are parsed in Python and its prices in C by ``np.loadtxt`` (each empty cell
+written as ``nan``); it is taken only if every present cell is a price in
+(0, inf) and every date is new. The first block refused (one with a quoted,
+whitespace-only or unparsable cell, say) and every line after it go through
+the row reader, which converts each cell on its own, with the same result, so
+every error is raised first in file order, naming the physical line it starts
+on. Rows fill one float64 matrix, doubled in place when full, trimmed at the
+end, reordered only if the dates came unsorted and adopted by the panel, so
+peak memory follows the matrix, not the file text. Non-UTF-8 bytes and text
+the csv module cannot split (such as an oversized field) raise a DataError.
 
-``tref_sweep`` is the normalize / dispersion / tail step of both
-``analyze`` (one reference date) and ``sweep``, run one performance
-chunk at a time; each reference date's series form one ``SweepEntry``.
-Its dispersion and tail tables are formatted from the series' columns
-over one date column (a tail gap has empty alpha, k and method cells but
-keeps its n).
+``tref_sweep`` is the normalize / dispersion / tail step of both ``analyze``
+(one reference date) and ``sweep``, run one performance chunk at a time;
+each reference date's series form one ``SweepEntry``.
 
 There are five reports, the ones the commands write: ``AnalysisReport``
 (analyze), ``SweepResult`` (sweep), ``SurvivalCurve`` and ``HillSweep``
-(survival) and ``RhoSweepTable`` (simulate). Each maps to a ``meta``
-block and named tables of rows, which both formats render; anything else
-(a bare series, a list of events, a ``SimResult``) raises TypeError. A
-JSON document is a top-level object with the ``meta`` block (tool,
-version, policies, seed where applicable) and each table as a list of
-objects, written here from the tables (one %-template per table fills
-each row) byte for byte as ``json.dumps(document, indent=2,
-allow_nan=False)`` plus a newline would write it; CSV holds one table
-per file. Floats use Python's shortest round-trip repr, so every
-written number reparses to the exact same double; undefined values are
-null in JSON and empty cells in CSV. Reports are streamed to their file
-or to stdout. Every table's cells are built one slab of 512 rows at a
-time, and JSON is rendered a slab at a time, CSV in pieces of 64 KiB, so
-memory follows one slab of 512 rows, not the table or the report. Files
-are replaced atomically.
+(survival) and ``RhoSweepTable`` (simulate); anything else raises TypeError.
+Each is a ``meta`` block and named tables, which both formats render from one
+column model: slabs of 512 rows, each a tuple of columns (float arrays, whose
+values that are not finite are null, int arrays and lists of str). Each
+column of a slab is encoded by one C-level call, floats by their shortest
+round-trip repr, and each slab filled at once: JSON byte for byte as
+``json.dumps(document, indent=2, allow_nan=False)`` plus a newline writes it,
+CSV (one table a file) as ``csv.writer`` does. Each series date is formatted
+once per report. Reports are streamed a slab at a time, so memory follows one
+slab, not the table; files are replaced atomically.
 """
 
 from __future__ import annotations
@@ -55,13 +44,14 @@ import datetime as dt
 import errno
 import math
 import os
+import re
 import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import JSONEncoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, NamedTuple, TextIO
@@ -277,12 +267,11 @@ def _read_panel(
 
 
 def write_price_panel(panel: PricePanel, path: str | Path) -> None:
-    """Write a panel in the same CSV format load_price_panel reads."""
-    rows = (
-        (when.isoformat(), *_jf_all(row))
-        for when, row in zip(panel.dates, panel.prices)
-    )
-    _write_text(Path(path), _Table(("date", *panel.tickers), rows).csv_text())
+    """Write a panel in the CSV format load_price_panel reads, about 16,384 prices a slab."""
+    rows = max(1, (1 << 14) // len(panel.tickers))
+    slabs = ((list(map(str, panel.dates[s])), panel.prices[s])
+             for s in _slabs(len(panel.dates), rows))
+    _write_text(Path(path), _Table(("date", *panel.tickers), slabs).csv_text())
 
 
 def first_trading_day_per_year(
@@ -318,7 +307,7 @@ def first_trading_day_per_year(
 @dataclass(frozen=True)
 class SweepEntry:
     """One reference date's dispersion and tail series, which share their dates from
-    that date on (the reports format the dates once and join the tables row by row)."""
+    that date on (the reports format the dates once, for both tables)."""
 
     ref_date: dt.date
     dispersion: DispersionSeries
@@ -389,12 +378,8 @@ def tref_sweep(panel: PricePanel, ref_dates: list[dt.date], policy: str = DROP_A
     for when in ref_dates:
         if when not in panel.dates:
             raise RefDateAbsent(when)
-    return SweepResult(
-        entries=tuple(_sweep_entry(panel, when, policy, kp) for when in sorted(set(ref_dates))),
-        universe=panel.tickers,
-        policy=policy,
-        k_policy=kp,
-    )
+    entries = tuple(_sweep_entry(panel, when, policy, kp) for when in sorted(set(ref_dates)))
+    return SweepResult(entries=entries, universe=panel.tickers, policy=policy, k_policy=kp)
 
 
 # ---------------------------------------------------------------------------
@@ -421,58 +406,43 @@ class RhoSweepTable:
 
 
 # ---------------------------------------------------------------------------
-# report tables: one row model behind JSON and CSV
+# report tables: one column model behind JSON and CSV
 # ---------------------------------------------------------------------------
 
 
-# the rows of a report table built and rendered at a time: cells and text are alive for
-# one slab, not for the table
+# the rows of a report table built and rendered at a time: its cells and text live that long
 _SLAB = 512
+_IsoText = Callable[[tuple[dt.date, ...]], tuple[str, int]]  # see _iso_text
 
 
-def _slabs(n_rows: int) -> list[slice]:
-    """The slabs of an ``n_rows``-row table, in order."""
-    return [slice(i, i + _SLAB) for i in range(0, n_rows, _SLAB)]
-
-
-def _jf(value: float | None) -> float | None:
-    """A float cell: NaN and infinities become None (JSON null, empty CSV cell)."""
-    return None if value is None or not math.isfinite(value) else float(value)
-
-
-def _jf_all(values: FloatArray) -> list[float | None]:
-    """``_jf`` of every value of a float array."""
-    return values.tolist() if np.isfinite(values).all() else list(map(_jf, values.tolist()))
+def _slabs(n_rows: int, size: int = _SLAB) -> list[slice]:
+    """The slabs of an ``n_rows``-row table, in order, of ``size`` rows (the last fewer)."""
+    return [slice(i, min(i + size, n_rows)) for i in range(0, n_rows, size)]
 
 
 def _meta(kind: str, **extra: Any) -> dict[str, Any]:
     return {"tool": "crossdisp", "version": __version__, "kind": kind, **extra}
 
 
-def _k_policy_meta(kp: KPolicy) -> dict[str, Any]:
-    return {"k_fraction": kp.fraction, "min_n": kp.min_n}
+def _csv_row(cells: Iterable[Any]) -> str:
+    csv.writer(buf := StringIO(), lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 class _Table(NamedTuple):
-    """Column names plus rows produced once, when rendered. Each cell is a
-    str (dates in ISO form), an int, a float passed through ``_jf``, or None."""
+    """Column names plus slabs produced once, when rendered: each slab a tuple of one
+    column per name, all of one length (see ``_cells`` for what a column may be)."""
 
     columns: tuple[str, ...]
-    rows: Iterable[tuple[Any, ...]]
+    slabs: Iterable[tuple[Any, ...]]
 
     def csv_text(self) -> Iterator[str]:
-        """The table as CSV, in pieces of 64 KiB or more (the last may be shorter)."""
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(row)  # None becomes an empty cell
-            if buf.tell() >= 1 << 16:
-                yield buf.getvalue()
-                # a new buffer: one emptied by seek and truncate writes slower
-                buf = StringIO()
-                writer = csv.writer(buf, lineterminator="\n")
-        yield buf.getvalue()
+        """The table as CSV: the header (a one-row slab of str), then one piece per slab."""
+        for slab in chain([tuple([name] for name in self.columns)], self.slabs):
+            cells = [_cells(column, json=False) for column in slab]
+            if len(cells) == 1:  # csv.writer quotes a row's only cell if it is empty
+                cells = [['""' if cell == "" else cell for cell in cells[0]]]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 class _Layout(NamedTuple):
@@ -483,99 +453,131 @@ class _Layout(NamedTuple):
     json_body: dict[str, Any] | None = None
 
 
-def _series_tables(entry: SweepEntry) -> dict[str, _Table]:
-    """The dispersion and tail tables of one reference date, over one date column."""
+def _iso_text() -> _IsoText:
+    """A function of dates to their ISO text joined by newlines (11 bytes a date) and the index
+    there of the first; dates that end the last it formatted are not formatted again."""
+    done: list[Any] = [(), ""]
+
+    def text(dates: tuple[dt.date, ...]) -> tuple[str, int]:
+        start = len(done[0]) - len(dates)
+        if start < 0 or done[0][start:] != dates:
+            # a slab at a time, so only one slab's strs are alive (str(date) is isoformat())
+            done[:] = dates, "\n".join(["\n".join(map(str, dates[s])) for s in _slabs(len(dates))])
+            start = 0
+        return done[1], start
+    return text
+
+
+def _series_slabs(entry: SweepEntry, iso: _IsoText, *columns: str) -> Iterator[tuple[Any, ...]]:
+    """The named columns of one reference date's dispersion and tail series, a slab at a
+    time (a tail gap has null alpha, k and method but keeps its n)."""
     disp, tails = entry.dispersion, entry.tails
-    slabs = _slabs(len(disp.dates))
-    # each date formatted once and kept as one line of its slab's string: about 11 bytes
-    # a date, where a str of its own takes about 60
-    iso = ["\n".join([when.isoformat() for when in disp.dates[s]]) for s in slabs]
+    text, first = iso(disp.dates)
+    for s in _slabs(len(disp.dates)):
+        gap = tails.k[s] == 0
+        slab = {"ref_date": [text[11 * first:11 * first + 10]] * len(gap),
+                "date": text[11 * (first + s.start):11 * (first + s.stop) - 1].split("\n"),
+                "mean": disp.mean[s], "variance": disp.variance[s], "count": disp.count[s],
+                "alpha": tails.alpha[s], "k": (tails.k[s], gap), "n": tails.n[s],
+                "method": ([HILL] * len(gap), gap)}
+        yield tuple(slab[c] for c in columns)
 
-    def dispersion_rows(s: slice, dates: str) -> Iterable[tuple[Any, ...]]:
-        return zip(dates.split("\n"), _jf_all(disp.mean[s]), _jf_all(disp.variance[s]),
-                   disp.count[s].tolist())
 
-    def tail_rows(s: slice, dates: str) -> Iterable[tuple[Any, ...]]:
-        k, method = (np.where(tails.k[s] == 0, None, c).tolist() for c in (tails.k[s], HILL))
-        return zip(dates.split("\n"), _jf_all(tails.alpha[s]), k, tails.n[s].tolist(), method)
+def _series_tables(entry: SweepEntry, iso: _IsoText) -> dict[str, _Table]:
+    """The dispersion and tail tables of one reference date, over one date column."""
+    return {name: _Table(columns, _series_slabs(entry, iso, *columns)) for name, columns in (
+        ("dispersion", ("date", "mean", "variance", "count")),
+        ("tail", ("date", "alpha", "k", "n", "method")))}
 
-    return {
-        "dispersion": _Table(("date", "mean", "variance", "count"),
-                             chain.from_iterable(map(dispersion_rows, slabs, iso))),
-        "tail": _Table(("date", "alpha", "k", "n", "method"),
-                       chain.from_iterable(map(tail_rows, slabs, iso))),
-    }
+
+def _whole(n_rows: int, **columns: Any) -> _Table:
+    """A table of whole named columns (arrays or lists of ``n_rows`` cells)."""
+    return _Table(tuple(columns), (tuple(c[s] for c in columns.values()) for s in _slabs(n_rows)))
 
 
 def _layout(result: Any) -> _Layout:
     """The meta block and tables of the five reports the commands write."""
     if isinstance(result, SurvivalCurve):
-        points = result.step_points()
-        return _Layout(_meta("survival-curve", n=result.n), {"series": _Table(
-            ("z", "survival"), chain.from_iterable(
-                zip(*(_jf_all(c[s]) for c in points)) for s in _slabs(len(points[0]))))})
+        z, survival = result.step_points()
+        return _Layout(_meta("survival-curve", n=result.n),
+                       {"series": _whole(len(z), z=z, survival=survival)})
     if isinstance(result, AnalysisReport):
+        events = result.extremes
         return _Layout(
-            _meta(
-                "analysis",
-                ref_date=result.ref_date.isoformat(),
-                policy=result.policy,
-                window=result.window,
-                **_k_policy_meta(result.tails.k_policy),
-            ),
-            {**_series_tables(result), "extremes": _Table(
-                ("date", "kind", "value", "window"),
-                ((e.date.isoformat() if isinstance(e.date, dt.date) else e.date,
-                  e.kind, _jf(e.value), e.window) for e in result.extremes))},
+            _meta("analysis", ref_date=result.ref_date.isoformat(), policy=result.policy,
+                  window=result.window, k_fraction=result.tails.k_policy.fraction,
+                  min_n=result.tails.k_policy.min_n),
+            {**_series_tables(result, _iso_text()), "extremes": _whole(
+                len(events), date=np.array([e.date.isoformat() if isinstance(e.date, dt.date)
+                                            else e.date for e in events], dtype=object),
+                kind=[e.kind for e in events], value=np.array([e.value for e in events], float),
+                window=np.array([e.window for e in events], dtype=np.int64))},
         )
     if isinstance(result, SweepResult):
         # JSON nests each reference date's tables, CSV joins them; entries are built as read
-        entries = ({"ref_date": e.ref_date.isoformat(), **_series_tables(e)}
-                   for e in result.entries)
+        iso = _iso_text()
+        columns = ("ref_date", "date", "mean", "variance", "count", "alpha", "k")
         return _Layout(
-            _meta(
-                "sweep",
-                policy=result.policy,
-                universe_size=len(result.universe),
-                **_k_policy_meta(result.k_policy),
-            ),
-            # each row: ref_date, the dispersion row (date, mean, variance, count), alpha, k
-            {"series": _Table(("ref_date", "date", "mean", "variance", "count", "alpha", "k"), (
-                (e["ref_date"], *row, tail_row[1], tail_row[2])
-                for e in entries for row, tail_row in zip(e["dispersion"].rows, e["tail"].rows)
-            ))},
-            json_body={"series": entries},
+            _meta("sweep", policy=result.policy, universe_size=len(result.universe),
+                  k_fraction=result.k_policy.fraction, min_n=result.k_policy.min_n),
+            {"series": _Table(columns, chain.from_iterable(
+                _series_slabs(e, iso, *columns) for e in result.entries))},
+            json_body={"series": ({"ref_date": e.ref_date.isoformat(), **_series_tables(e, iso)}
+                                  for e in result.entries)},
         )
     if isinstance(result, RhoSweepTable):
+        rows = result.rows
         return _Layout(
             _meta("rho-sweep", n=result.n, reps=result.reps,
-                  sigma=_jf(result.sigma), seed=result.seed),
-            {"series": _Table(
-                ("rho", "mean_vn", "se_vn", "expected", "source"),
-                ((_jf(r.rho), _jf(r.mean_vn), _jf(r.se_vn), _jf(r.expected), r.source)
-                 for r in result.rows),
-            )},
+                  sigma=float(result.sigma) if math.isfinite(result.sigma) else None,
+                  seed=result.seed),
+            {"series": _whole(len(rows), **{c: np.array([getattr(r, c) for r in rows], float)
+                                            for c in ("rho", "mean_vn", "se_vn", "expected")},
+                              source=[r.source for r in rows])},
         )
     if isinstance(result, HillSweep):
-        return _Layout(_meta("hill-sweep"), {"series": _Table(
-            ("k", "alpha"), chain.from_iterable(zip(result.k[s].tolist(), _jf_all(result.alpha[s]))
-                                                for s in _slabs(len(result.k))))})
+        return _Layout(_meta("hill-sweep"),
+                       {"series": _whole(len(result.k), k=result.k, alpha=result.alpha)})
     raise TypeError(f"cannot serialize {type(result).__name__}")
 
 
 # a scalar as json writes it (its C encoder: no indent), ValueError if not finite
 _json_leaf = JSONEncoder(allow_nan=False).encode
-_JSON_BY_TYPE: dict[type, Callable[[Any], str]] = {
-    str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-def _json_cells(column: tuple[Any, ...]) -> list[str]:
-    """Each cell as ``_json_leaf`` writes it; one type's cells by that type's encoder."""
-    kinds = set(map(type, column)) - {type(None)}
-    encode = _JSON_BY_TYPE.get(kinds.pop(), _json_leaf) if len(kinds) == 1 else _json_leaf
-    if encode is float.__repr__ and not all(math.isfinite(c) for c in column if c is not None):
-        encode = _json_leaf  # raises at the first value that is not finite
-    return ["null" if cell is None else encode(cell) for cell in column]
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """str cells as csv.writer writes them: one with a comma, quote or line break goes
+    through the writer, which quotes it or not (Python 3.13 quotes a lone CR, 3.11 not)."""
+    if not _CSV_SPECIAL.search("".join(cells)):
+        return list(cells)  # a new list, which the caller may change
+    return [_csv_row([c])[:-1] if _CSV_SPECIAL.search(c) else c for c in cells]
+
+
+def _cells(column: Any, json: bool) -> list[str]:
+    """One column of a slab as JSON or CSV text, each kind encoded by one C-level call: a
+    float array (a value that is not finite is null; in CSV a 2-D one is adjacent columns, a
+    row's values one cell), an int array, a list of str, or a pair (int array or list of str,
+    bool array) null where the bool array is set. An object array holds plain scalars, each
+    as json.dumps or csv.writer writes it (None is null; in JSON a non-finite float raises)."""
+    column, nulls = column if isinstance(column, tuple) else (column, None)
+    null = "null" if json else ""
+    if isinstance(column, list):
+        cells = list(map(encode_basestring_ascii, column)) if json else _csv_quoted(column)
+    elif column.dtype.kind == "f":
+        cells = list(map(float.__repr__, column.ravel().tolist()))
+        nulls = None if np.isfinite(column).all() else ~np.isfinite(column)
+    elif column.dtype.kind == "O":
+        cells = [null if c is None else _json_leaf(c) if json else _csv_quoted([str(c)])[0]
+                 for c in column.tolist()]
+    else:
+        cells = list(map(int.__repr__, column.tolist()))
+    for i in [] if nulls is None else np.flatnonzero(nulls).tolist():
+        cells[i] = null
+    if getattr(column, "ndim", 1) == 2:
+        width = column.shape[1]
+        return [",".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+    return cells
 
 
 def _object_template(keys: Iterable[str], pad: str) -> str:
@@ -587,8 +589,7 @@ def _object_template(keys: Iterable[str], pad: str) -> str:
 
 def _json_text(value: Any, pad: str) -> Iterator[str]:
     """``value`` (dicts, lists or iterators, ``_Table``s, scalars) at indent ``pad``, one
-    piece per dict key, list item and slab of a table's rows (a table is a list of
-    objects, one template per row; each slab picks its columns' encoders itself)."""
+    piece per dict key, list item and slab of a table (a table is a list of objects)."""
     inner = pad + "  "
     if isinstance(value, dict):
         opening = "{"
@@ -598,12 +599,11 @@ def _json_text(value: Any, pad: str) -> Iterator[str]:
             opening = ","
         yield "{}" if opening == "{" else f"\n{pad}}}"
     elif isinstance(value, _Table):  # a NamedTuple, so tested before tuple
-        fill = _object_template(value.columns, inner).__mod__
-        rows = iter(value.rows)
-        opening = "["
-        while slab := list(islice(rows, _SLAB)):
-            cells = zip(*map(_json_cells, zip(*slab)))
-            yield f"{opening}\n{inner}" + f",\n{inner}".join(map(fill, cells))
+        row, opening = _object_template(value.columns, inner), "["
+        for slab in value.slabs:
+            cells = [_cells(column, json=True) for column in slab]
+            template = f",\n{inner}".join([row] * len(cells[0]))  # the slab's objects
+            yield f"{opening}\n{inner}" + template % tuple(chain.from_iterable(zip(*cells)))
             opening = ","
         yield "[]" if opening == "[" else f"\n{pad}]"
     elif isinstance(value, (list, tuple, Iterator)):

@@ -209,8 +209,12 @@ def performance_chunks(
             i, j = np.argwhere((values == 0.0) | (values == np.inf))[0]
             raise DataError(f"performance of {tickers[j]} on {panel.dates[lo + i]} against "
                             f"{ref_date} is outside the range of a double")
-        yield PerformancePanel(ref_date=ref_date, dates=panel.dates[lo:hi],
-                               tickers=tickers, values=values)
+        # built without PerformancePanel.__post_init__: the panel checked the dates, tickers
+        # and prices, and the range check above the ratios (a row divided by itself is 1)
+        chunk = object.__new__(PerformancePanel)
+        chunk.__dict__.update(ref_date=ref_date, dates=panel.dates[lo:hi], tickers=tickers,
+                              values=values)
+        yield chunk
 
 
 def normalize_panel(

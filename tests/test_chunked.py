@@ -179,6 +179,41 @@ def test_chunks_hold_the_chunk_bytes_and_never_one_date_alone():
     assert sizes[1 << 20, 0] == [13]
 
 
+def test_chunks_skip_the_record_checks_their_values_pass():
+    panel = PricePanel(tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(9)),
+                       ("A", "B", "C"), np.arange(1.0, 28.0).reshape(9, 3))
+    with mock.patch.object(panel_module, "CHUNK_BYTES", 1), mock.patch.object(
+            PerformancePanel, "__post_init__", side_effect=AssertionError("checked again")):
+        chunks = list(performance_chunks(panel, panel.dates[2]))
+    assert [len(c.dates) for c in chunks] == [2, 2, 3]
+    for chunk in chunks:  # the public constructor, which checks, takes each chunk as it is
+        assert PerformancePanel(chunk.ref_date, chunk.dates, chunk.tickers, chunk.values) == chunk
+
+
+D3 = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(3))
+# each check of PerformancePanel.__post_init__: the fields that fail it and its message
+PERFORMANCE_CHECKS = {
+    "shape": ((D3[0], D3, ("A", "B"), np.ones((3, 3))), "value matrix shape"),
+    "dates increase": ((D3[0], (D3[0], D3[2], D3[1]), ("A", "B"), np.ones((3, 2))),
+                       "dates must be strictly increasing"),
+    "unique tickers": ((D3[0], D3, ("A", "A"), np.ones((3, 2))), "tickers must be unique"),
+    "on or after the reference date": ((D3[1], D3, ("A", "B"), np.ones((3, 2))),
+                                       "on or after the reference date"),
+    "positive": ((D3[0], D3, ("A", "B"), [[1.0, 1.0], [0.0, 2.0], [1.0, 1.0]]),
+                 "strictly positive and finite"),
+    "finite": ((D3[0], D3, ("A", "B"), [[1.0, 1.0], [2.0, 2.0], [np.inf, 1.0]]),
+               "strictly positive and finite"),
+    "unit reference row": ((D3[0], D3, ("A", "B"), [[1.0, 1.5], [1.0, 1.0], [1.0, 1.0]]),
+                           "reference-date row must be identically 1"),
+}
+
+
+@pytest.mark.parametrize("fields, message", PERFORMANCE_CHECKS.values(), ids=PERFORMANCE_CHECKS)
+def test_direct_performance_panel_runs_every_check(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PerformancePanel(*fields)
+
+
 def extreme_later_panel():
     """Ten dates; stock B's ratio overflows on the eighth, in the fourth two-date chunk."""
     prices = np.full((10, 3), 2.0)

@@ -185,6 +185,12 @@ GOLDEN: dict[str, dict[str, int | str]] = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stderr": "c2ad37f9ea3b7611edbb733b3f92ca0bdb090f3b9a58948b114bb586d67e6881",
     },
+    # the default window (20) needs more than 40 dates: the tiny panel's 3 end the run
+    "analyze tiny.csv --tref 2003-01-02": {
+        "exit": 2,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "09d17f81420f688783a4a8067bbf291612f67e9f678896824b3e788164e9c2f1",
+    },
     "sweep bubble.csv --years 1990-2004": {
         "exit": 2,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

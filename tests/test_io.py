@@ -1,7 +1,10 @@
+import csv
 import datetime as dt
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -166,6 +169,53 @@ def test_panel_round_trip_is_exact(tmp_path):
     assert back.dates == panel.dates
     assert back.tickers == panel.tickers
     assert np.array_equal(back.prices, panel.prices, equal_nan=True)
+
+
+def reference_panel_csv(panel):
+    """The panel as csv.writer writes it, one row at a time, a missing price as None."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("date", *panel.tickers))
+    for when, row in zip(panel.dates, panel.prices.tolist()):
+        writer.writerow([when.isoformat(), *(None if math.isnan(x) else x for x in row)])
+    return buf.getvalue()
+
+
+def gappy_panel(n_dates, n_stocks, seed):
+    rng = np.random.default_rng(seed)
+    prices = np.exp(rng.normal(0.0, 30.0, (n_dates, n_stocks)))
+    prices[rng.random(prices.shape) < 0.2] = np.nan
+    return PricePanel(dates=tuple(d("2001-01-01") + dt.timedelta(days=i) for i in range(n_dates)),
+                      tickers=tuple(f"S{i}" for i in range(n_stocks)), prices=prices)
+
+
+# one stock; a few; and a slab of about 16,384 prices one row less, one row, or one row
+# more than a whole number of rows
+@pytest.mark.parametrize("n_stocks", [1, 3, 4095, 16383, 16385])
+def test_written_panel_is_what_csv_writer_writes(n_stocks, tmp_path):
+    panel = gappy_panel(9, n_stocks, seed=n_stocks)
+    # tickers csv.writer must quote, and prices where repr is easy to get wrong
+    tickers = ('a,"b', "c\nd", *panel.tickers[2:]) if n_stocks > 2 else panel.tickers
+    prices = panel.prices.copy()
+    prices[0, :4] = [5e-324, 1e16, 1e-5, 1.7976931348623157e308][:n_stocks]
+    panel = PricePanel(panel.dates, tickers, prices)
+    write_price_panel(panel, tmp_path / "panel.csv")
+    assert (tmp_path / "panel.csv").read_text(encoding="utf-8") == reference_panel_csv(panel)
+
+
+def test_write_price_panel_memory_follows_one_slab_not_the_panel(tmp_path):
+    peaks = {}
+    for n_dates in (20, 200):
+        panel = gappy_panel(n_dates, 2000, seed=5)
+        tracemalloc.start()
+        try:
+            write_price_panel(panel, tmp_path / f"panel{n_dates}.csv")
+            _, peaks[n_dates] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # Measured: 20 and 200 dates of 2,000 stocks both peak at 2.4 MB, a slab of 8 dates
+    # (0.6 MB row by row through csv.writer); in slabs of 512 dates, 4.6 and 42.6 MB.
+    assert peaks[200] <= peaks[20] + (256 << 10)
 
 
 def test_first_trading_day_per_year(tmp_path):

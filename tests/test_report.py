@@ -20,8 +20,9 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from io import StringIO
+from itertools import islice
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
@@ -468,13 +469,57 @@ column_cells = [scalars, st.integers(), st.floats(allow_nan=False, allow_infinit
                 awkward_text, st.booleans()]
 
 
+INT64 = np.iinfo(np.int64)
+
+
+def slab_column(cells: tuple[Any, ...], plain: bool = False) -> Any:
+    """One column of a slab as the report layouts hand it: a float array (None as NaN),
+    an int array or a list of str, the last two paired with a null mask if a cell is
+    None; an object array of plain cells if ``plain`` is set or the cells mix types,
+    are bools or ints outside int64, or are all None."""
+    nulls = np.array([cell is None for cell in cells])
+    values = [cell for cell in cells if cell is not None]
+    kinds = set(map(type, values))
+    if plain or len(kinds) != 1 or kinds == {bool}:
+        return np.array(cells, dtype=object)
+    if kinds == {float}:
+        return np.array([math.nan if cell is None else cell for cell in cells])
+    if kinds == {str}:
+        column: Any = ["" if cell is None else cell for cell in cells]
+    elif all(INT64.min <= value <= INT64.max for value in values):
+        column = np.array([0 if cell is None else cell for cell in cells], dtype=np.int64)
+    else:
+        return np.array(cells, dtype=object)
+    return (column, nulls) if nulls.any() else column
+
+
+def table(columns: tuple[str, ...], rows: Any, plain: bool = False) -> Any:
+    """A ``_Table`` of ``rows``, read ``_SLAB`` rows at a time as its slabs are drawn,
+    each column as ``slab_column`` hands it."""
+    rows = iter(rows)
+
+    def slabs():
+        while slab := list(islice(rows, report_io._SLAB)):
+            yield tuple(slab_column(cells, plain) for cells in zip(*slab))
+
+    return report_io._Table(tuple(columns), slabs())
+
+
+class Rows(NamedTuple):
+    """A table as the strategies draw it: ``render`` makes it a ``_Table``, ``_plain`` a
+    list of objects."""
+
+    columns: tuple[str, ...]
+    rows: list[tuple[Any, ...]]
+
+
 @st.composite
 def tables(draw):
     columns = tuple(draw(st.lists(awkward_text, min_size=1, max_size=4, unique=True)))
     cells = [draw(st.sampled_from(column_cells)) for _ in columns]
     cells = [st.one_of(st.none(), c) if draw(st.booleans()) else c for c in cells]
     rows = draw(st.lists(st.tuples(*cells), max_size=5))
-    return report_io._Table(columns, rows)
+    return Rows(columns, rows)
 
 
 documents = st.recursive(
@@ -486,13 +531,24 @@ documents = st.recursive(
 
 
 def _plain(value: Any) -> Any:
-    """``value`` with each ``_Table`` in it as a list of objects."""
+    """``value`` with each ``Rows`` in it as a list of objects."""
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_plain(item) for item in value]
-    if isinstance(value, report_io._Table):
+    if isinstance(value, Rows):
         return [dict(zip(value.columns, row)) for row in value.rows]
+    return value
+
+
+def render(value: Any) -> Any:
+    """``value`` with each ``Rows`` in it as a ``_Table``."""
+    if isinstance(value, dict):
+        return {key: render(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [render(item) for item in value]
+    if isinstance(value, Rows):
+        return table(value.columns, value.rows)
     return value
 
 
@@ -500,22 +556,92 @@ def _plain(value: Any) -> Any:
 @given(document=documents)
 def test_json_text_of_any_document_matches_json_dumps(document):
     # the rows here are lists, so both sides can read them
-    assert "".join(report_io._json_text(document, "")) + "\n" == dumps_reference(
+    assert "".join(report_io._json_text(render(document), "")) + "\n" == dumps_reference(
         _plain(document))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_a_non_finite_float_reaching_the_renderer_raises(bad):
-    Table = report_io._Table
     for document in (
         {"meta": {"x": bad}},
         [1.0, bad],
-        Table(("a",), [(bad,)]),
-        Table(("a",), [(1.0,), (None,), (bad,)]),
-        Table(("a",), [("text",), (bad,)]),
+        table(("a",), [(bad,)], plain=True),
+        table(("a",), [(1.0,), (None,), (bad,)], plain=True),
+        table(("a",), [("text",), (bad,)]),
     ):
         with pytest.raises(ValueError):
             "".join(report_io._json_text(document, ""))
+
+
+# ---------------------------------------------------------------------------
+# column encoders against json.dumps and csv.writer
+# ---------------------------------------------------------------------------
+
+# floats where repr is easy to get wrong: signed zeros, subnormals, the edges of the
+# normal range, and both sides of repr's switches to exponent form (1e16 and 1e-4)
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e16, -1e16,
+               9999999999999998.0, 1.0000000000000002e16, 1e-4, 9.999999999999999e-05, 1e-5,
+               1.0000000000000001e-05, 0.1, math.nan, math.inf, -math.inf]
+report_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+int64s = st.one_of(st.integers(INT64.min, INT64.max),
+                   st.sampled_from([INT64.min, INT64.min + 1, -1, 0, 1, INT64.max]))
+# cells csv.writer must quote, and text JSON must escape
+csv_text = st.one_of(awkward_text, st.text(st.sampled_from(',"\r\n a%\\'), max_size=6))
+
+
+@st.composite
+def report_columns(draw, n: int) -> tuple[Any, list[Any]]:
+    """A column of ``n`` cells as a report layout hands it, and its cells as the
+    reference writers take them (None for a null)."""
+    kind = draw(st.sampled_from(["float", "int", "str", "int or null", "str or null"]))
+    if kind == "float":
+        values = draw(st.lists(report_floats, min_size=n, max_size=n))
+        return np.array(values), [v if math.isfinite(v) else None for v in values]
+    if kind.startswith("int"):
+        values = draw(st.lists(int64s, min_size=n, max_size=n))
+        column: Any = np.array(values, dtype=np.int64)
+    else:
+        values = draw(st.lists(csv_text, min_size=n, max_size=n))
+        column = values
+    if kind.endswith("null"):
+        nulls = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return (column, np.array(nulls, dtype=bool)), [
+            None if null else v for v, null in zip(values, nulls)]
+    return column, values
+
+
+@st.composite
+def report_tables(draw) -> tuple[tuple[str, ...], list[tuple[Any, ...]], list[list[Any]]]:
+    """Column names, slabs of report columns, and the reference rows."""
+    names = tuple(draw(st.lists(csv_text, min_size=1, max_size=4, unique=True)))
+    slabs, rows = [], []
+    for n in draw(st.lists(st.integers(1, 12), max_size=3)):
+        columns = [draw(report_columns(n)) for _ in names]
+        slabs.append(tuple(column for column, _ in columns))
+        rows.extend(map(list, zip(*(cells for _, cells in columns))))
+    return names, slabs, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=report_tables())
+def test_column_encoders_match_json_dumps_and_csv_writer(case):
+    names, slabs, rows = case
+    assert "".join(report_io._json_text(report_io._Table(names, slabs), "")) == json.dumps(
+        [dict(zip(names, row)) for row in rows], indent=2, allow_nan=False)
+    whole = StringIO()
+    csv.writer(whole, lineterminator="\n").writerows([names, *rows])
+    assert "".join(report_io._Table(names, slabs).csv_text()) == whole.getvalue()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_float_in_a_plain_column_raises_in_json(bad):
+    plain = np.array([1.5, None, bad], dtype=object)
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        "".join(report_io._json_text(report_io._Table(("x",), [(plain,)]), ""))
+    # a float array is a report column: there the same value is null
+    assert "".join(report_io._json_text(
+        report_io._Table(("x",), [(np.array([1.5, math.nan, bad]),)]), "")).count("null") == 2
 
 
 class CountingDate(dt.date):
@@ -541,6 +667,20 @@ def test_each_date_of_a_reference_date_is_formatted_once(fmt, tmp_path):
     write_report(report, tmp_path / "analysis", fmt)
     render_report(sweep, fmt)
     assert CountingDate.calls == 2 * len(dates)
+    # entries whose dates end the first entry's, as in a sweep: each date formatted once
+    # in the whole report
+    later = [SweepEntry(START + dt.timedelta(days=i), replace(disp, dates=dates[i:],
+                                                             mean=disp.mean[i:],
+                                                             variance=disp.variance[i:],
+                                                             count=disp.count[i:]),
+                        replace(tails, dates=dates[i:], alpha=tails.alpha[i:],
+                                k=tails.k[i:], n=tails.n[i:]))
+             for i in (1, 3, 4)]
+    shared = replace(sweep, entries=(sweep.entries[0], *later))
+    CountingDate.calls = 0
+    text = render_report(shared, fmt)
+    assert CountingDate.calls == len(dates)
+    assert text == ref_render_report(shared, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +690,15 @@ def test_each_date_of_a_reference_date_is_formatted_once(fmt, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_chunk_that_raises_midway_leaves_the_old_file(fmt, tmp_path):
-    Table = report_io._Table
-
     def rows():
-        yield from ((i, 0.5) for i in range(20000))  # about 170 KB: two 64 KiB pieces first
+        yield from ((i, 0.5) for i in range(20000))  # about 170 KB: the header and 39 slabs first
         raise ValueError("the rows ran out")
 
     if fmt == "csv":
-        chunks = Table(("i", "x"), rows()).csv_text()
+        chunks = table(("i", "x"), rows()).csv_text()
     else:  # the second table holds a float JSON cannot write
-        chunks = report_io._json_text(
-            {"first": Table(("x",), [(0.5,)] * 3000), "second": Table(("x",), [(math.inf,)])}, "")
+        chunks = report_io._json_text({"first": table(("x",), [(0.5,)] * 3000),
+                                       "second": table(("x",), [(math.inf,)], plain=True)}, "")
     target = tmp_path / "out"
     target.write_bytes(b"old bytes\n")
     during = []
@@ -594,12 +732,12 @@ def test_a_table_renders_as_the_whole_table_would(n):
     columns = ("i", "x", "y", "s")
     rows = [(i, None if i < SLAB else i / 7, i if i < SLAB else i + 0.5, f"r{i}")
             for i in range(n)]
-    document = {"table": report_io._Table(columns, iter(rows))}  # rows read once
+    document = {"table": table(columns, iter(rows))}  # rows read once
     assert "".join(report_io._json_text(document, "")) + "\n" == dumps_reference(
         {"table": [dict(zip(columns, row)) for row in rows]})
     whole = StringIO()
     csv.writer(whole, lineterminator="\n").writerows([columns, *rows])
-    assert "".join(report_io._Table(columns, iter(rows)).csv_text()) == whole.getvalue()
+    assert "".join(table(columns, iter(rows)).csv_text()) == whole.getvalue()
 
 
 def slab_reports(n: int) -> list[Any]:
@@ -641,7 +779,7 @@ def test_a_non_finite_float_in_a_later_slab_raises_and_keeps_the_old_file(tmp_pa
     target = tmp_path / "out"
     target.write_bytes(b"old bytes\n")
     written: list[str] = []
-    chunks = report_io._json_text({"table": report_io._Table(("x",), iter(rows))}, "")
+    chunks = report_io._json_text({"table": table(("x",), iter(rows), plain=True)}, "")
     with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
         report_io._write_text(target, (written.append(c) or c for c in chunks))
     # the first slab went to the temporary file before the second raised
@@ -678,10 +816,10 @@ def test_write_report_peak_memory_follows_one_reference_date(fmt, tmp_path):
         finally:
             tracemalloc.stop()
     one = max(len(render_report(replace(sweep, entries=(e,)), fmt)) for e in sweep.entries)
-    # Measured with 20 reference dates: JSON 0.55 MB, 0.9x the 0.62 MB of one
-    # reference date; CSV 0.57 MB, 3.4x its 0.17 MB (a slab of rows and a 64 KiB
-    # piece). Rendering each table whole peaked at 1.86 MB (JSON) and 1.32 MB (CSV),
-    # and writing the whole document at once at 30.9 MB and 9.2 MB.
+    # Measured with 20 reference dates: JSON 0.59 MB, 0.95x the 0.62 MB of one
+    # reference date; CSV 0.53 MB, 3.1x its 0.17 MB (a slab's cells and text and the
+    # reference date's ISO text). Rendering each table whole peaked at 1.86 MB (JSON)
+    # and 1.32 MB (CSV), and writing the whole document at once at 30.9 MB and 9.2 MB.
     assert peaks[20] <= one + (512 << 10)
     assert peaks[20] <= peaks[10] + (64 << 10)
 
@@ -697,8 +835,8 @@ def test_write_report_peak_memory_follows_one_slab_not_the_table(fmt, tmp_path):
             _, peaks[n_dates] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    # Measured: 2,000 dates peak at 0.70 MB (JSON) and 0.55 MB (CSV), 20,000 dates
-    # 0.05 MB and 0.22 MB above that, about 0.2 MB of it the 18,000 more dates' ISO
+    # Measured: 2,000 dates peak at 0.58 MB (JSON) and 0.52 MB (CSV), 20,000 dates
+    # 0.19 MB and 0.21 MB above that, about 0.2 MB of it the 18,000 more dates' ISO
     # text (11 bytes each); rendering each table whole peaked 16.6 MB (JSON) and
     # 4.5 MB (CSV) higher with 20,000 dates. The margin is 512 bytes a row of one slab.
     assert peaks[20000] <= peaks[2000] + SLAB * 512
@@ -723,9 +861,9 @@ def test_analyze_csv_fan_out_streams_each_file(tmp_path):
         finally:
             tracemalloc.stop()
     written = sum(p.stat().st_size for p in tmp_path.iterdir())
-    # Measured: laying out the tables peaks at 0.37 MB (their date text) and
-    # writing them at 0.86 MB (a slab of rows and a 64 KiB piece); with each table's
-    # cells built whole the two were 7.69 and 7.88 MB. Rendering all three files
+    # Measured: laying out the tables peaks at 0.003 MB (the dates are formatted
+    # when the first slab is drawn) and writing them at 0.69 MB (the date text and a
+    # slab); with each table's cells built whole the two were 7.69 and 7.88 MB. Rendering all three files
     # before writing any peaked 2.77 MB higher, the size of their text.
     assert written > 2.5e6
     assert peaks[1] <= peaks[0] + (1 << 20)
