@@ -17,7 +17,6 @@ from .errors import (
     DuplicateDate,
     EmptyCrossSection,
     IoError,
-    NoLimit,
     NonFiniteVariance,
     NonPositivePrice,
     NotPSD,
@@ -83,10 +82,8 @@ from .tails import (
 )
 from .theory import (
     CorrelationSpec,
-    EquicorrelatedFamily,
     Equicorrelation,
     FullMatrix,
-    TermLimits,
     dispersion_variance,
     equicorrelation_expected_dispersion,
     expected_dispersion,
@@ -99,7 +96,7 @@ __all__ = [
     # errors
     "CrossdispError", "DataError", "NumericalError",
     "BadK", "DegenerateTail", "DimensionMismatch", "DuplicateDate",
-    "EmptyCrossSection", "IoError", "NoLimit", "NonFiniteVariance",
+    "EmptyCrossSection", "IoError", "NonFiniteVariance",
     "NonPositivePrice", "NotPSD", "ParseError", "RefDateAbsent",
     "TooFewStocks", "WindowTooLarge", "ZeroReps",
     # panel
@@ -113,8 +110,8 @@ __all__ = [
     "detect_extremes",
     # theory
     "CorrelationSpec", "Equicorrelation", "FullMatrix",
-    "EquicorrelatedFamily", "TermLimits", "expected_dispersion", "dispersion_variance",
-    "equicorrelation_expected_dispersion", "limit_dispersion",
+    "expected_dispersion", "dispersion_variance", "equicorrelation_expected_dispersion",
+    "limit_dispersion",
     # simulate
     "SimConfig", "SimResult", "FeasibilityReport", "validate_feasibility",
     "sample_gaussian_matrix",

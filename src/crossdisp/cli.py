@@ -313,7 +313,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"crossdisp: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

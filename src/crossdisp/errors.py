@@ -91,10 +91,6 @@ class ZeroReps(DataError):
         self.reps = reps
 
 
-class NoLimit(DataError):
-    """No large-universe limit can be derived for the given family."""
-
-
 class ParseError(DataError):
     """A cell of an input file could not be parsed."""
 

@@ -279,8 +279,9 @@ def first_trading_day_per_year(
 ) -> list[dt.date]:
     """Earliest panel date in each requested year (default: every year present).
 
-    Each entry of ``years`` is a year or an inclusive (first, last) range.
-    The first year missing from the panel, in argument order, raises
+    Each entry of ``years`` is a year or an inclusive (first, last) range;
+    a range whose first year comes after its last raises ValueError. The
+    first year missing from the panel, in argument order, raises
     RefDateAbsent; a range is walked only up to that year, never expanded.
     """
     first: dict[int, dt.date] = {}
@@ -291,6 +292,8 @@ def first_trading_day_per_year(
     chosen: set[int] = set()
     for span in years:
         year, last = span if isinstance(span, tuple) else (span, span)
+        if year > last:
+            raise ValueError(f"empty year range {year}-{last}")
         while year <= last and year in first:
             chosen.add(year)
             year += 1

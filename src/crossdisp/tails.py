@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,13 @@ def pareto_variance(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _integer(value: object, name: str) -> int:
+    """``value`` as a Python int; TypeError for a bool or a value that is not an integer."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class KPolicy:
     """How many upper order statistics the per-date Hill estimator uses.
@@ -195,6 +203,9 @@ class KPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must lie strictly between 0 and 1")
+        # stored as Python numbers, so a policy built from numpy scalars renders
+        object.__setattr__(self, "fraction", float(self.fraction))
+        object.__setattr__(self, "min_n", _integer(self.min_n, "min_n"))
         if self.min_n < 2:
             raise ValueError("min_n must be at least 2")
 
@@ -306,6 +317,7 @@ def detect_extremes(
     series = np.asarray(values, dtype=np.float64)
     if series.ndim != 1:
         raise ValueError("expected a 1-d series")
+    window = _integer(window, "window")
     if window < 1:
         raise ValueError("window half-width must be at least 1")
     n = int(series.size)

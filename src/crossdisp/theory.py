@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .errors import DimensionMismatch, NoLimit
+from .errors import DimensionMismatch
 from .panel import FloatArray, _doubles, _eq_by_value, _freeze
 
 
@@ -207,50 +207,20 @@ def equicorrelation_expected_dispersion(n: int, rho: float, sigma: float = 1.0) 
     return (1.0 - 1.0 / n) * (1.0 - rho) * sigma * sigma
 
 
-@dataclass(frozen=True)
-class EquicorrelatedFamily:
-    """A growing homogeneous universe: common rho, sigma and mean for all n."""
-
-    rho: float
-    sigma: float = 1.0
-    mean: float = 0.0
-
-
-@dataclass(frozen=True)
-class TermLimits:
-    """User-supplied limits of the four averages in the dispersion formula.
+def limit_dispersion(
+    avg_variance: float, avg_pairwise_cov: float, avg_sq_mean: float, avg_mean: float
+) -> float:
+    """Large-universe limit of E[V] from the limits of the four averages in E[V]:
 
     avg_variance:     lim (1/N) sum sigma_i^2
     avg_pairwise_cov: lim (1/N^2) sum_ij rho_ij sigma_i sigma_j
     avg_sq_mean:      lim (1/N) sum m_i^2
     avg_mean:         lim (1/N) sum m_i
+
+    A growing homogeneous universe with common rho, sigma and mean has the
+    limits sigma^2, rho sigma^2, mean^2 and mean, so its limit is
+    (1 - rho) sigma^2. The limit is algebraic: for rho < 0 that universe is
+    no correlation matrix once n > 1 - 1/rho, so no feasible universe
+    approaches (1 - rho) sigma^2.
     """
-
-    avg_variance: float
-    avg_pairwise_cov: float
-    avg_sq_mean: float
-    avg_mean: float
-
-
-def limit_dispersion(family: EquicorrelatedFamily | TermLimits) -> float:
-    """Large-universe limit of the expected dispersion.
-
-    Supported families are the homogeneous equicorrelated universe, whose
-    limit is (1 - rho) sigma^2, and explicit term limits. Anything else
-    raises NoLimit; no general sequence inference is attempted. The limit
-    is algebraic: for rho < 0 the family is no correlation matrix once
-    n > 1 - 1/rho, so no feasible universe approaches (1 - rho) sigma^2.
-    """
-    if isinstance(family, EquicorrelatedFamily):
-        return (1.0 - family.rho) * family.sigma * family.sigma
-    if isinstance(family, TermLimits):
-        return (
-            family.avg_variance
-            - family.avg_pairwise_cov
-            + family.avg_sq_mean
-            - family.avg_mean**2
-        )
-    raise NoLimit(
-        f"cannot derive term limits for {type(family).__name__}; "
-        "supply TermLimits explicitly"
-    )
+    return avg_variance - avg_pairwise_cov + avg_sq_mean - avg_mean**2

@@ -250,9 +250,25 @@ def test_first_trading_day_per_year(tmp_path):
         assert err.value.when == missing
 
 
+@pytest.mark.parametrize("years", [[(2005, 2004)], [2020, (2021, 2020)]])
+def test_first_trading_day_per_year_rejects_an_empty_range(tmp_path, years):
+    panel = load_price_panel(write(tmp_path, "date,AAA\n2020-01-02,1\n2021-01-04,2\n"))
+    with pytest.raises(ValueError, match="^empty year range"):
+        first_trading_day_per_year(panel, years=years)
+
+
 # ---------------------------------------------------------------------------
 # reference date sweeps
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k_policy", [KPolicy(min_n=np.int64(2)),
+                                      KPolicy(fraction=np.float32(0.25), min_n=2)])
+def test_a_k_policy_of_numpy_scalars_renders(tiny_panel, k_policy):
+    assert type(k_policy.fraction) is float and type(k_policy.min_n) is int
+    sweep = tref_sweep(tiny_panel, [tiny_panel.dates[0]], k_policy=k_policy)
+    meta = json.loads(render_report(sweep, "json"))["meta"]
+    assert (meta["k_fraction"], meta["min_n"]) == (float(k_policy.fraction), 2)
 
 
 def test_sweep_single_ref_matches_manual_pipeline(tiny_panel):

@@ -13,10 +13,12 @@ from crossdisp import errors, tails, theory
 
 REMOVED = {
     crossdisp: ["powerlaw_slope", "loglog_tail_fit", "TooFewTailPoints",
-                "equicorrelation_dispersion_variance", "dispersion_bounds"],
+                "equicorrelation_dispersion_variance", "dispersion_bounds",
+                "EquicorrelatedFamily", "TermLimits", "NoLimit"],
     tails: ["powerlaw_slope", "loglog_tail_fit", "LOGLOG", "TooFewTailPoints"],
-    theory: ["equicorrelation_dispersion_variance", "dispersion_bounds"],
-    errors: ["TooFewTailPoints"],
+    theory: ["equicorrelation_dispersion_variance", "dispersion_bounds",
+             "EquicorrelatedFamily", "TermLimits", "NoLimit"],
+    errors: ["TooFewTailPoints", "NoLimit"],
 }
 
 

@@ -248,6 +248,12 @@ def test_k_policy_validation():
         KPolicy(min_n=1)
 
 
+@pytest.mark.parametrize("min_n", [True, 10.0, 10.5, np.float64(10.0), "10"])
+def test_k_policy_min_n_must_be_an_integer(min_n):
+    with pytest.raises(TypeError, match="^min_n must be an integer"):
+        KPolicy(min_n=min_n)
+
+
 def test_tail_estimate_validates_fields():
     with pytest.raises(ValueError):
         TailEstimate(alpha=1.0, k=5, n=5)
@@ -314,6 +320,17 @@ def test_detect_extremes_window_too_large():
 def test_detect_extremes_rejects_zero_window():
     with pytest.raises(ValueError):
         detect_extremes([1.0, 2.0, 1.0, 2.0], window=0)
+
+
+@pytest.mark.parametrize("window", [True, 1.5, 1.0, np.float64(1.0), np.bool_(True), "1"])
+def test_detect_extremes_rejects_a_window_that_is_not_an_integer(window):
+    with pytest.raises(TypeError, match="^window must be an integer"):
+        detect_extremes([1.0, 2.0, 1.0, 2.0], window=window)
+
+
+def test_detect_extremes_takes_a_numpy_integer_window():
+    (event,) = detect_extremes([1.0, 2.0, 1.0], window=np.int64(1))
+    assert type(event.window) is int and event.window == 1
 
 
 def test_detect_extremes_skips_windows_with_gaps():

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from crossdisp import (
     CorrelationSpec,
     DimensionMismatch,
-    EquicorrelatedFamily,
     Equicorrelation,
     FullMatrix,
-    NoLimit,
-    TermLimits,
     dispersion_variance,
     equicorrelation_expected_dispersion,
     expected_dispersion,
@@ -205,36 +202,55 @@ def test_rejected_input_raises(case):
 # ---------------------------------------------------------------------------
 
 
+def family_limit(rho, sigma=1.0, mean=0.0):
+    """The four-average limits of a growing homogeneous universe."""
+    return limit_dispersion(sigma**2, rho * sigma**2, mean**2, mean)
+
+
 def test_limit_equicorrelated_family():
-    assert limit_dispersion(EquicorrelatedFamily(rho=0.5)) == pytest.approx(0.5)
-    assert limit_dispersion(EquicorrelatedFamily(rho=1.0)) == 0.0
-    assert limit_dispersion(EquicorrelatedFamily(rho=-1.0)) == pytest.approx(2.0)
-    assert limit_dispersion(EquicorrelatedFamily(rho=0.0, sigma=2.0)) == pytest.approx(4.0)
+    assert family_limit(rho=0.5) == pytest.approx(0.5)
+    assert family_limit(rho=1.0) == 0.0
+    assert family_limit(rho=-1.0) == pytest.approx(2.0)
+    assert family_limit(rho=0.0, sigma=2.0) == pytest.approx(4.0)
     # a common nonzero mean contributes nothing to dispersion in the limit
-    assert limit_dispersion(EquicorrelatedFamily(rho=0.5, mean=3.0)) == pytest.approx(0.5)
+    assert family_limit(rho=0.5, mean=3.0) == pytest.approx(0.5)
 
 
 def test_limit_is_large_n_limit_of_closed_form():
-    family = EquicorrelatedFamily(rho=0.3, sigma=1.5)
     finite = [
         equicorrelation_expected_dispersion(n, 0.3, 1.5) for n in (10, 100, 10000)
     ]
-    lim = limit_dispersion(family)
+    lim = family_limit(rho=0.3, sigma=1.5)
     gaps = [abs(v - lim) for v in finite]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
 
 
 def test_limit_from_term_limits():
-    terms = TermLimits(
-        avg_variance=1.0, avg_pairwise_cov=0.3, avg_sq_mean=0.5, avg_mean=0.5
+    terms = dict(avg_variance=1.0, avg_pairwise_cov=0.3, avg_sq_mean=0.5, avg_mean=0.5)
+    assert limit_dispersion(**terms) == pytest.approx(1.0 - 0.3 + 0.5 - 0.25)
+    assert limit_dispersion(1.0, 0.3, 0.5, 0.5) == 0.95
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_limit_of_a_spec_own_averages_is_its_expected_dispersion(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    spec = CorrelationSpec.with_matrix(
+        random_correlation(rng, n),
+        sigmas=rng.uniform(0.1, 3.0, n),
+        means=rng.normal(0.0, 2.0, n),
     )
-    assert limit_dispersion(terms) == pytest.approx(1.0 - 0.3 + 0.5 - 0.25)
-
-
-def test_limit_unknown_family():
-    with pytest.raises(NoLimit):
-        limit_dispersion({"rho": 0.5})  # type: ignore[arg-type]
+    s, m = spec.sigmas, spec.means
+    averages = (
+        float(np.mean(s * s)),
+        float(s @ spec.structure.matrix @ s) / (n * n),
+        float(np.mean(m * m)),
+        float(np.mean(m)),
+    )
+    assert limit_dispersion(*averages) == pytest.approx(
+        expected_dispersion(spec), rel=1e-12, abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
