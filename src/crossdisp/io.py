@@ -352,26 +352,21 @@ class AnalysisReport(SweepEntry):
     window: int
 
 
-def _joined(parts: list[Any], columns: tuple[str, ...], **extra: Any) -> Any:
-    """One series of consecutive ``parts``: their dates and each column joined."""
-    return type(parts[0])(tuple(chain.from_iterable(part.dates for part in parts)),
-                          *(np.concatenate([getattr(part, c) for part in parts]) for c in columns),
-                          **extra)
-
-
 def _sweep_entry(panel: PricePanel, ref_date: dt.date, policy: str,
                  k_policy: KPolicy) -> SweepEntry:
-    """Dispersion and tail series from ``ref_date``, one performance chunk at a time."""
+    """Dispersion and tail series from ``ref_date``, one performance chunk at a time,
+    both over one date tuple: the panel's dates from ``ref_date`` on, which the chunks
+    cover end to end."""
+    parts = []
+    for chunk in performance_chunks(panel, ref_date, policy):
+        d, t = dispersion_series(chunk), tail_series(chunk, k_policy)
+        parts.append((d.mean, d.variance, d.count, t.alpha, t.k, t.n))
     # the statistics reduce each date on its own, so the joined columns equal the
     # whole matrix's bit for bit
-    parts = [(dispersion_series(chunk), tail_series(chunk, k_policy))
-             for chunk in performance_chunks(panel, ref_date, policy)]
-    dispersions, tails = zip(*parts)
-    return SweepEntry(
-        ref_date=ref_date,
-        dispersion=_joined(dispersions, ("mean", "variance", "count")),
-        tails=_joined(tails, ("alpha", "k", "n"), k_policy=k_policy),
-    )
+    mean, variance, count, alpha, k, n = (np.concatenate(column) for column in zip(*parts))
+    dates = panel.dates[panel.date_index(ref_date):]
+    return SweepEntry(ref_date=ref_date, dispersion=DispersionSeries(dates, mean, variance, count),
+                      tails=TailSeries(dates, alpha, k, n, k_policy))
 
 
 def tref_sweep(panel: PricePanel, ref_dates: list[dt.date], policy: str = DROP_AT_REF,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import datetime as dt
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -204,8 +203,7 @@ def performance_chunks(
             np.divide(block, ref_prices[:, None], out=block)
         block.setflags(write=False)
         values = block.T
-        if (np.fmin.reduce(values, axis=None, initial=1.0) == 0.0
-                or np.fmax.reduce(values, axis=None, initial=1.0) == np.inf):
+        if _any_nonpositive_or_infinite(values):  # ratios are never negative: a 0 or an inf
             i, j = np.argwhere((values == 0.0) | (values == np.inf))[0]
             raise DataError(f"performance of {tickers[j]} on {panel.dates[lo + i]} against "
                             f"{ref_date} is outside the range of a double")
@@ -242,8 +240,8 @@ def normalize_panel(
     chunks = list(performance_chunks(panel, ref_date, policy))
     block = np.concatenate([chunk.values.T for chunk in chunks], axis=1)  # as each chunk's
     block.setflags(write=False)
-    return PerformancePanel(ref_date=ref_date, tickers=chunks[0].tickers, values=block.T,
-                            dates=tuple(chain.from_iterable(chunk.dates for chunk in chunks)))
+    return PerformancePanel(ref_date=ref_date, dates=panel.dates[panel.date_index(ref_date):],
+                            tickers=chunks[0].tickers, values=block.T)
 
 
 # ---------------------------------------------------------------------------

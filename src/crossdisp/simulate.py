@@ -8,7 +8,7 @@ therefore a pure function of the seed and its own index, so results are
 bit-identical no matter how many workers execute the blocks or in which
 order they finish. With ``workers`` > 1 the blocks are dealt round-robin
 to min(workers, blocks) pool tasks, so a run of more than one block
-already uses more than one thread.
+already uses more than one thread; a run of one block starts no thread.
 
 Inside a block, the stream is walked in chunks of rows of n draws
 holding about CHUNK_BYTES; each chunk is drawn, transformed and reduced
@@ -243,7 +243,7 @@ def simulate_dispersion(config: SimConfig, workers: int = 1) -> SimResult:
 
     if scale == 0.0:
         values.fill(0.0)  # every cross-section is constant
-    elif workers > 1:
+    elif tasks > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported only where a pool starts
         with ThreadPoolExecutor(max_workers=tasks) as pool:
             list(pool.map(run_task, range(tasks)))

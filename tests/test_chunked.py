@@ -190,6 +190,24 @@ def test_chunks_skip_the_record_checks_their_values_pass():
         assert PerformancePanel(chunk.ref_date, chunk.dates, chunk.tickers, chunk.values) == chunk
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+@pytest.mark.parametrize("gaps", [False, True])
+def test_an_entry_shares_the_panel_dates_from_its_reference_date(chunk_bytes, gaps):
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=3 * i) for i in range(9))
+    prices = np.arange(1.0, 37.0).reshape(9, 4)
+    if gaps:
+        prices[[1, 4, 4, 8], [0, 2, 3, 1]] = np.nan
+    panel = PricePanel(dates, ("A", "B", "C", "D"), prices)
+    for row in (0, 2, 7, 8):
+        with mock.patch.object(panel_module, "CHUNK_BYTES", chunk_bytes):
+            n_chunks = len(list(performance_chunks(panel, dates[row])))
+            entry = _sweep_entry(panel, dates[row], DROP_AT_REF, KPolicy(min_n=2))
+        # at one byte, two dates a chunk and the last up to three
+        assert n_chunks == (max(1, (9 - row) // 2) if chunk_bytes == 1 else 1)
+        assert entry.dispersion.dates is entry.tails.dates
+        assert entry.dispersion.dates == dates[row:]
+
+
 D3 = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(3))
 # each check of PerformancePanel.__post_init__: the fields that fail it and its message
 PERFORMANCE_CHECKS = {

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +49,11 @@ def test_removed_names_are_gone(module):
 
 def test_a_tail_estimate_has_no_method_field():
     assert [f.name for f in fields(crossdisp.TailEstimate)] == ["alpha", "k", "n"]
+
+
+def test_the_package_version_is_the_project_version():
+    # every JSON report writes crossdisp.__version__ as meta.version; pyproject.toml is
+    # read as text, since Python 3.10 has no tomllib
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version\s*=\s*"([^"]*)"$', project, re.M) == [crossdisp.__version__]

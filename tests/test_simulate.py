@@ -1,5 +1,8 @@
 import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -559,8 +562,9 @@ def test_cli_single_rho_dispersion_follows_the_chi_square_law(monkeypatch, capsy
     assert statistic(shifted) > KS_CRITICAL_1PCT
 
 
-@pytest.mark.parametrize("workers, blocks, expected", [(8, 2, 2), (5, 1, 1), (2, 3, 2)])
-def test_pool_has_no_more_threads_than_blocks(workers, blocks, expected, monkeypatch):
+# threads: how many run the blocks; one is the caller's own, and then no pool starts
+@pytest.mark.parametrize("workers, blocks, threads", [(8, 2, 2), (5, 1, 1), (2, 3, 2)])
+def test_pool_has_no_more_threads_than_blocks(workers, blocks, threads, monkeypatch):
     requested = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -574,9 +578,26 @@ def test_pool_has_no_more_threads_than_blocks(workers, blocks, expected, monkeyp
     cfg = SimConfig(spec=CorrelationSpec.equicorrelated(3, 0.1),
                     reps=(blocks - 1) * REPLICATION_BLOCK + 1, seed=5)
     pooled = simulate_dispersion(cfg, workers=workers)
-    assert requested == [expected]
+    assert requested == ([threads] if threads > 1 else [])
     serial = simulate_dispersion(cfg, workers=1)
     assert np.array_equal(pooled.per_rep, serial.per_rep)
+
+
+@pytest.mark.parametrize("reps, workers, pooled", [(100, 2, False), (100, 1, False),
+                                                    (2048, 2, True)])
+def test_only_a_run_of_two_blocks_or_more_imports_the_pool(reps, workers, pooled):
+    # in a fresh interpreter, since this one has imported concurrent.futures already
+    src = os.path.dirname(os.path.dirname(simulate_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, crossdisp.cli; "
+            f"code = crossdisp.cli.main(['simulate', '--n', '50', '--m-reps', '{reps}', "
+            f"'--workers', '{workers}']); "
+            "print(code, 'concurrent.futures' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"0 {pooled}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,18 @@ def test_homogeneous_values_match_linear_form():
     assert equicorrelation_expected_dispersion(1000, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_homogeneous_closed_form_needs_one_stock(n):
+    with pytest.raises(ValueError, match=r"^universe size must be at least 1$"):
+        equicorrelation_expected_dispersion(n, 0.3)
+
+
+@pytest.mark.parametrize("rho", [-1.0001, 1.5, float("nan"), float("inf")])
+def test_homogeneous_closed_form_needs_rho_in_the_unit_interval(rho):
+    with pytest.raises(ValueError, match=rf"^rho must lie in \[-1, 1\], got {rho}$"):
+        equicorrelation_expected_dispersion(10, rho)
+
+
 def test_homogeneous_sigma_scaling():
     base = equicorrelation_expected_dispersion(50, 0.3, sigma=1.0)
     assert equicorrelation_expected_dispersion(50, 0.3, sigma=2.0) == pytest.approx(
