@@ -136,10 +136,12 @@ def load_price_panel(path: str | Path) -> PricePanel:
 
 def _has_long_field(text: str) -> bool:
     """True if ``text`` may hold a field longer than the csv module's limit: every
-    such field spans a whole aligned window of half the limit without a comma."""
+    such field spans a whole aligned window of half the limit without a comma. A
+    partial last window is not checked: a short comma-free tail is no long field."""
     half = max(csv.field_size_limit() // 2, 1)
     return len(text) > 2 * half and any(
-        text.find(",", start, start + half) < 0 for start in range(0, len(text), half))
+        text.find(",", start, start + half) < 0
+        for start in range(0, len(text) - half + 1, half))
 
 
 def _parse_block(

@@ -8,7 +8,7 @@ their empirical survival function, and their mean and dispersion through
 time.
 
 ``performance_chunks`` divides the prices into performances a chunk of
-about CHUNK_BYTES at a time; ``normalize_panel`` joins the chunks.
+about CHUNK_BYTES (512 KiB) at a time; ``normalize_panel`` joins the chunks.
 
 All variances are the population form (divide by N, not N - 1). The
 survival function uses a strict inequality: S(z) is the fraction of the
@@ -32,7 +32,9 @@ FloatArray = npt.NDArray[np.float64]
 DROP_AT_REF = "drop-at-ref"
 COMPLETE_ONLY = "complete-only"
 MISSING_DATA_POLICIES = (DROP_AT_REF, COMPLETE_ONLY)
-CHUNK_BYTES = 2**20  # bytes of one chunk: a block's draws in the simulator, performances here
+# bytes of performances in one chunk (512 KiB): each chunk makes about three temporaries of
+# its size, and at 1 MiB they set the peak of a sweep
+CHUNK_BYTES = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +178,10 @@ def performance_chunks(
 ) -> Iterator[PerformancePanel]:
     """The performance panel of ``normalize_panel`` in read-only chunks of
     consecutive dates, from the reference date on: ``max(2, CHUNK_BYTES //
-    (8 * stocks kept))`` dates each, the last up to one more. A chunk is
-    divided from the price matrix when it is drawn. The checks of
-    ``normalize_panel`` run when the first chunk is drawn, and each chunk's
-    range check when it is, so errors come in date order.
+    (8 * stocks kept))`` dates each (512 KiB of performances), the last up
+    to one more. A chunk is divided from the price matrix when it is drawn.
+    The checks of ``normalize_panel`` run when the first chunk is drawn, and
+    each chunk's range check when it is, so errors come in date order.
     """
     if policy not in MISSING_DATA_POLICIES:
         raise ValueError(f"unknown missing-data policy: {policy!r}")

@@ -5,7 +5,8 @@ time; ``io._sweep_entry`` (the step of ``analyze`` and ``sweep``) and the
 ``survival`` command reduce those chunks one by one, and ``normalize_panel``
 joins them. Here each is compared, bit for bit, with the whole-matrix
 normalization it replaced, kept below as the reference. Chunks are shrunk to
-a few dates by patching ``panel.CHUNK_BYTES``.
+a few dates by patching ``panel.CHUNK_BYTES``, and a tall panel is also cut at
+the shipped size and at 1 MiB.
 """
 
 from __future__ import annotations
@@ -190,7 +191,30 @@ def test_chunks_skip_the_record_checks_their_values_pass():
         assert PerformancePanel(chunk.ref_date, chunk.dates, chunk.tickers, chunk.values) == chunk
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+# two dates a chunk, the shipped size and 1 MiB, the size before it
+CHUNK_SIZES = [1, panel_module.CHUNK_BYTES, 1 << 20]
+
+
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+def test_chunks_of_every_size_equal_the_whole_matrix_bit_for_bit(chunk_bytes):
+    # tall enough that the shipped size cuts more chunks than 1 MiB
+    rng = np.random.default_rng(11)
+    prices = rng.lognormal(0.0, 0.3, (4000, 40))
+    prices[1:][rng.random((3999, 40)) < 0.05] = np.nan
+    dates = tuple(dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(4000))
+    panel = PricePanel(dates, tuple(f"S{i}" for i in range(40)), prices)
+    kp = KPolicy(min_n=5)
+    with mock.patch.object(panel_module, "CHUNK_BYTES", chunk_bytes):
+        n_chunks = len(list(performance_chunks(panel, dates[0])))
+        got = chunked(panel, dates[0], DROP_AT_REF, kp)
+        joined = normalize_panel(panel, dates[0])
+    assert n_chunks == {1: 2000, panel_module.CHUNK_BYTES: 3, 1 << 20: 2}[chunk_bytes]
+    assert got == whole(panel, dates[0], DROP_AT_REF, kp)
+    want = reference_normalize(panel, dates[0], DROP_AT_REF)
+    assert joined.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
 @pytest.mark.parametrize("gaps", [False, True])
 def test_an_entry_shares_the_panel_dates_from_its_reference_date(chunk_bytes, gaps):
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=3 * i) for i in range(9))

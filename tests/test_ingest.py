@@ -275,6 +275,25 @@ def test_a_field_longer_than_the_csv_limit_is_refused(tmp_path):
     assert outcome(load_price_panel, path) == outcome(reference_load_price_panel, path)
 
 
+def test_a_short_comma_free_tail_is_no_long_field():
+    # a block that ends one character into a window of half the csv limit: that
+    # window holds no comma, but only a whole window can hold part of a long field
+    half = csv.field_size_limit() // 2
+    width = half // 7
+    lines = [f"2020-01-0{day}{',1.5' * width}\n" for day in (2, 3, 4)]
+    pad = 2 * half + 1 - len("".join(lines))
+    lines[0] = lines[0].replace(",1.5", ",1.5" + "0" * pad, 1)
+    text = "".join(lines)
+    assert len(text) == 2 * half + 1 and "," not in text[2 * half:]
+    assert not crossdisp_io._has_long_field(text)
+    dates, prices = crossdisp_io._parse_block(lines, width, {}, gappy=False)
+    assert len(dates) == 3 and prices.shape == (3, width) and (prices == 1.5).all()
+    # a field one character over the limit still is one
+    field = "1." + "0" * (2 * half - 1)
+    assert len(field) == csv.field_size_limit() + 1
+    assert crossdisp_io._has_long_field(f"2020-01-02,{field},2\n")
+
+
 @pytest.mark.parametrize("text", ["20200102", "2020-W01-4", "2020W014", " 2020-01-02 x"])
 def test_dates_are_read_only_as_yyyy_mm_dd(text, tmp_path):
     path = tmp_path / "dates.csv"
