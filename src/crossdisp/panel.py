@@ -32,8 +32,8 @@ FloatArray = npt.NDArray[np.float64]
 DROP_AT_REF = "drop-at-ref"
 COMPLETE_ONLY = "complete-only"
 MISSING_DATA_POLICIES = (DROP_AT_REF, COMPLETE_ONLY)
-# bytes of performances in one chunk (512 KiB): each chunk makes about three temporaries of
-# its size, and at 1 MiB they set the peak of a sweep
+# bytes of one chunk (512 KiB): a block's draws in the simulator, performances here. A
+# performance chunk makes about three temporaries of its size; at 1 MiB they set a sweep's peak
 CHUNK_BYTES = 2**19
 
 

@@ -11,18 +11,17 @@ to min(workers, blocks) pool tasks, so a run of more than one block
 already uses more than one thread; a run of one block starts no thread.
 
 Inside a block, the stream is walked in chunks of rows of n draws
-holding about CHUNK_BYTES (1 MiB, this module's own, not the panel's);
-each chunk is drawn, transformed and reduced to its dispersions before
-the next is drawn. numpy fills normals in stream order, so consecutive
-chunk draws equal one whole-block draw bit for bit: equicorrelation
-gives the same values as drawing the block at once, and a row-chunked
-``z @ root`` may differ from it only in the last bits. Each task
-allocates one draw buffer and refills it in place for every chunk of
-every block it runs, which also keeps the allocator from handing pages
-back and faulting them in again. Memory is about two chunks per worker
-(draws and the variance step's deviations; a full matrix adds its
-samples and its n x n square root) plus 8 bytes per replication for
-``SimResult.per_rep``, whatever the replication count.
+holding about CHUNK_BYTES; each chunk is drawn, transformed and reduced
+to its dispersions before the next is drawn. numpy fills normals in
+stream order, so consecutive chunk draws equal one whole-block draw bit
+for bit: equicorrelation gives the same values as drawing the block at
+once, and a row-chunked ``z @ root`` may differ from it only in the last
+bits. Each task allocates one draw buffer and refills it in place for
+every chunk of every block it runs, which also keeps the allocator from
+handing pages back and faulting them in again. Memory is about two
+chunks per worker (draws and the variance step's deviations; a full
+matrix adds its samples and its n x n square root) plus 8 bytes per
+replication for ``SimResult.per_rep``, whatever the replication count.
 
 Sampling honors the declared correlation structure exactly. An
 equicorrelation matrix R has the closed-form symmetric square root
@@ -57,13 +56,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSD, NumericalError, TooFewStocks, ZeroReps
-from .panel import FloatArray, _doubles, _eq_by_value, _freeze, dispersion_values
+from .panel import CHUNK_BYTES, FloatArray, _doubles, _eq_by_value, _freeze, dispersion_values
 from .theory import CorrelationSpec, Equicorrelation
 
 REPLICATION_BLOCK = 1024
-# bytes of draws in one chunk (1 MiB), apart from the panel's chunks: with 256 KiB draws the
-# benchmark's simulate-rho run peaked 3.0 MB lower but was slower in 6 of 8 pairs
-CHUNK_BYTES = 2**20
 FEASIBILITY_TOL = 1e-10
 _MAX_SEED = 2**64
 

@@ -28,7 +28,6 @@ from crossdisp import (
     variance_decay_study,
 )
 import crossdisp.cli as cli_module
-import crossdisp.panel as panel_module
 import crossdisp.simulate as simulate_module
 from crossdisp.simulate import CHUNK_BYTES, REPLICATION_BLOCK
 from crossdisp.theory import Equicorrelation, FullMatrix
@@ -269,29 +268,6 @@ def test_two_workers_reduce_chunks_on_two_threads(reps, monkeypatch):
     monkeypatch.setattr(simulate_module, "dispersion_values", reduce)
     serial = simulate_dispersion(cfg, workers=1)
     assert np.array_equal(pooled.per_rep, serial.per_rep)
-
-
-def test_the_panel_chunk_size_does_not_reach_the_simulator(monkeypatch):
-    # the draws keep their own chunk size: patching the panel's changes no chunk and no bit
-    reduce = simulate_module.dispersion_values
-    cfg = SimConfig(spec=CorrelationSpec.equicorrelated(300, 0.3), reps=2000, seed=5)
-
-    def run():
-        shapes = []
-
-        def recording(chunk):
-            shapes.append(chunk.shape)
-            return reduce(chunk)
-
-        with monkeypatch.context() as patched:
-            patched.setattr(simulate_module, "dispersion_values", recording)
-            per_rep = simulate_dispersion(cfg).per_rep
-        return shapes, per_rep.tobytes()
-
-    want = run()
-    assert want[0][0] == (_chunk_rows(300), 300)
-    monkeypatch.setattr(panel_module, "CHUNK_BYTES", 1)
-    assert run() == want
 
 
 # ---------------------------------------------------------------------------
